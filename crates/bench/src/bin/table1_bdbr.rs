@@ -55,7 +55,7 @@ fn main() {
             ssim_cols[2]
         );
     }
-    println!("\nShape check (see EXPERIMENTS.md E1): the classical generation gap and");
+    println!("\nShape check: the classical generation gap and");
     println!("the learned-ladder ordering (DVC > FVC > CTVC in BDBR) reproduce; the");
     println!("absolute learned-vs-anchor sign does not — analytic (untrained) weights");
     println!("cap the learned codecs' quality ceiling, so their BDBR vs the anchor is");

@@ -27,32 +27,28 @@ impl NumericCtx {
         }
     }
 
-    /// Quantizes activations if the context is fixed-point.
-    pub fn actq(&self, t: Tensor) -> Tensor {
-        match self.act_bits {
-            None => t,
-            Some(bits) => fake_quantize_dynamic(&t, bits).map(|(q, _)| q).unwrap_or(t),
+    /// Quantizes activations in place if the context is fixed-point.
+    pub fn actq(&self, mut t: Tensor) -> Tensor {
+        if let Some(bits) = self.act_bits {
+            // Widths come from `Precision`, so the format is always valid;
+            // an invalid one would leave `t` untouched.
+            let _ = fake_quantize_dynamic(&mut t, bits);
         }
+        t
     }
 }
 
 /// Quantizes an operator's weights in place for FXP deployment.
 pub fn quantize_conv_weights(conv: &mut Conv2d, precision: Precision) {
     if precision == Precision::Fxp {
-        let fmt = QFormat::weights16();
-        for w in conv.weight_mut() {
-            *w = fmt.roundtrip(*w);
-        }
+        QFormat::weights16().roundtrip_slice(conv.weight_mut());
     }
 }
 
 /// Quantizes a deconvolution's weights in place for FXP deployment.
 pub fn quantize_deconv_weights(deconv: &mut DeConv2d, precision: Precision) {
     if precision == Precision::Fxp {
-        let fmt = QFormat::weights16();
-        for w in deconv.weight_mut() {
-            *w = fmt.roundtrip(*w);
-        }
+        QFormat::weights16().roundtrip_slice(deconv.weight_mut());
     }
 }
 

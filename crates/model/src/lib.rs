@@ -16,7 +16,7 @@
 //!   modules; synthesis = three `ResBlock + DeConv(N,4,2)` stages.
 //! * **ResBlock** (Fig. 2f): `x + Conv(ReLU(Conv(ReLU(x))))`.
 //!
-//! # Substitutions (recorded in `DESIGN.md`)
+//! # Substitutions
 //!
 //! With no training loop available, "learned" weights are replaced by
 //! analytic constructions that make the network a *working* codec:

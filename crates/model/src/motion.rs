@@ -2,7 +2,7 @@
 //! half-pel refinement, operating on a single derived feature plane.
 //!
 //! This is the documented substitute for the paper's trained
-//! motion-estimation CNN (see `DESIGN.md`): it produces the dense motion
+//! motion-estimation CNN (crate docs, *Substitutions*): it produces the dense motion
 //! field that the motion-compression autoencoder codes and the deformable
 //! compensation consumes.
 

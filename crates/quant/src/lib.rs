@@ -17,8 +17,7 @@
 //! `f32`) reproduces the *numerics* of fixed-point inference — every value
 //! is restricted to the representable grid — without re-implementing
 //! integer arithmetic inside every operator; this is the standard software
-//! evaluation methodology for accelerator precision studies and is
-//! recorded as such in `DESIGN.md`.
+//! evaluation methodology for accelerator precision studies.
 //!
 //! # Example
 //!
@@ -186,6 +185,34 @@ impl QFormat {
     pub fn roundtrip(&self, v: f32) -> f32 {
         self.dequantize(self.quantize(v))
     }
+
+    /// [`roundtrip`](Self::roundtrip) applied to every element of
+    /// `values` in place, bit-identical per element (NaN maps to 0, ±inf
+    /// saturates) but branch-free and in `f32` lanes only, so it
+    /// vectorizes.
+    pub fn roundtrip_slice(&self, values: &mut [f32]) {
+        const TWO_23: f32 = 8_388_608.0;
+        // `step` is 2^(−frac), so `v · 2^frac` and `v / step` are the same
+        // correctly rounded product for every f32.
+        let scale = (2.0_f32).powi(self.frac_bits as i32);
+        let step = self.step();
+        // Clamping the code in f32 equals clamping it in integers and then
+        // converting, since the conversion is monotonic.
+        let lo = -((1_i64 << (self.total_bits - 1)) as f32);
+        let hi = ((1_i64 << (self.total_bits - 1)) - 1) as f32;
+        for v in values {
+            let s = *v * scale;
+            let s = if s.is_nan() { 0.0 } else { s };
+            let a = s.abs();
+            // Nearest integer, ties to even: exact below 2^23, and from
+            // 2^23 up every f32 is already whole. Then ties go away from
+            // zero; `a − r` is exact because `r` is within half of `a`.
+            let r = if a < TWO_23 { (a + TWO_23) - TWO_23 } else { a };
+            let r = if a - r == 0.5 { r + 1.0 } else { r };
+            // `+ 0.0` turns a −0 code into +0, as the integer path does.
+            *v = (r.copysign(s).clamp(lo, hi) + 0.0) * step;
+        }
+    }
 }
 
 impl fmt::Display for QFormat {
@@ -248,20 +275,22 @@ impl QuantTensor {
 }
 
 /// Projects every element of `t` onto the grid of `format`
-/// (quantize-then-dequantize), returning a new `f32` tensor.
-pub fn fake_quantize(t: &Tensor, format: QFormat) -> Tensor {
-    t.map(|v| format.roundtrip(v))
+/// (quantize-then-dequantize) in place.
+pub fn fake_quantize(t: &mut Tensor, format: QFormat) {
+    format.roundtrip_slice(t.as_mut_slice());
 }
 
-/// Projects a tensor onto the best `total_bits`-wide format for its own
-/// dynamic range, returning the tensor and the chosen format.
+/// Projects a tensor in place onto the best `total_bits`-wide format for
+/// its own dynamic range, returning the chosen format.
 ///
 /// # Errors
 ///
-/// Returns [`QuantError::InvalidFormat`] if `total_bits` is invalid.
-pub fn fake_quantize_dynamic(t: &Tensor, total_bits: u32) -> Result<(Tensor, QFormat), QuantError> {
+/// Returns [`QuantError::InvalidFormat`] if `total_bits` is invalid; `t`
+/// is then left untouched.
+pub fn fake_quantize_dynamic(t: &mut Tensor, total_bits: u32) -> Result<QFormat, QuantError> {
     let fmt = QFormat::for_range(total_bits, t.max_abs())?;
-    Ok((fake_quantize(t, fmt), fmt))
+    fake_quantize(t, fmt);
+    Ok(fmt)
 }
 
 #[cfg(test)]
@@ -352,21 +381,134 @@ mod tests {
 
     #[test]
     fn fake_quantize_is_idempotent() {
-        let t = Tensor::from_fn(Shape::new(1, 1, 4, 4), |_, _, h, w| {
+        let mut once = Tensor::from_fn(Shape::new(1, 1, 4, 4), |_, _, h, w| {
             ((h * 4 + w) as f32).sin()
         });
         let fmt = QFormat::activations12();
-        let once = fake_quantize(&t, fmt);
-        let twice = fake_quantize(&once, fmt);
+        fake_quantize(&mut once, fmt);
+        let mut twice = once.clone();
+        fake_quantize(&mut twice, fmt);
         assert_eq!(once, twice);
     }
 
     #[test]
     fn dynamic_quantization_picks_format() {
-        let t = Tensor::filled(Shape::new(1, 1, 2, 2), 3.7);
-        let (q, fmt) = fake_quantize_dynamic(&t, 12).unwrap();
+        let mut q = Tensor::filled(Shape::new(1, 1, 2, 2), 3.7);
+        let fmt = fake_quantize_dynamic(&mut q, 12).unwrap();
         assert!(fmt.max_value() >= 3.7);
         assert!((q.at(0, 0, 0, 0) - 3.7).abs() <= fmt.step());
+        let before = q.clone();
+        assert!(fake_quantize_dynamic(&mut q, 0).is_err());
+        assert_eq!(q, before, "an invalid width leaves the tensor untouched");
+    }
+
+    /// Every format of every width: `roundtrip_slice` equals the scalar
+    /// `roundtrip` bit for bit on the values where rounding, saturation
+    /// and special-value handling can go wrong.
+    #[test]
+    fn roundtrip_slice_matches_scalar_roundtrip_bit_exactly() {
+        let mut formats = 0;
+        for total_bits in 2..=31 {
+            for frac_bits in 0..total_bits {
+                let fmt = QFormat::new(total_bits, frac_bits).unwrap();
+                let step = fmt.step();
+                let mut inputs = vec![
+                    0.0,
+                    -0.0,
+                    f32::NAN,
+                    -f32::NAN,
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    f32::MAX,
+                    f32::MIN,
+                    f32::MIN_POSITIVE,
+                    -f32::MIN_POSITIVE,
+                    f32::from_bits(1),
+                    -f32::from_bits(1),
+                    f32::from_bits(0x007f_ffff),
+                    -f32::from_bits(0x0040_0000),
+                    step / 2.0,
+                    -step / 2.0,
+                    fmt.max_value(),
+                    fmt.min_value(),
+                ];
+                // Exact half-steps (k + 0.5)·step, and their neighbours.
+                for k in [0_i64, 1, 2, 3, 7, 100, 1 << (total_bits - 2)] {
+                    let half = (k as f64 + 0.5) as f32 * step;
+                    for v in [half, -half] {
+                        inputs.extend([v, next_up(v), next_down(v)]);
+                    }
+                }
+                // At and just past the saturation bounds.
+                for bound in [fmt.max_value(), fmt.min_value()] {
+                    let past = bound + bound.signum() * step / 2.0;
+                    inputs.extend([next_up(bound), next_down(bound), past, next_up(past)]);
+                    inputs.extend([next_down(past), bound * 2.0]);
+                }
+                let want: Vec<u32> = inputs.iter().map(|&v| fmt.roundtrip(v).to_bits()).collect();
+                let mut got = inputs.clone();
+                fmt.roundtrip_slice(&mut got);
+                for ((v, g), w) in inputs.iter().zip(&got).zip(&want) {
+                    assert_eq!(
+                        g.to_bits(),
+                        *w,
+                        "{fmt}: input {v:e} ({:#010x})",
+                        v.to_bits()
+                    );
+                }
+                formats += 1;
+            }
+        }
+        assert_eq!(formats, (2..=31).sum::<u32>());
+    }
+
+    fn next_up(v: f32) -> f32 {
+        step_bits(v, 1)
+    }
+
+    fn next_down(v: f32) -> f32 {
+        step_bits(v, -1)
+    }
+
+    /// The adjacent f32 toward +inf (`dir = 1`) or −inf (`dir = −1`).
+    fn step_bits(v: f32, dir: i32) -> f32 {
+        if v == 0.0 {
+            return f32::from_bits(1) * dir as f32;
+        }
+        let away = (v > 0.0) == (dir > 0);
+        let bits = v.to_bits();
+        f32::from_bits(if away { bits + 1 } else { bits - 1 })
+    }
+
+    /// The lane-chunked `Tensor::max_abs` equals the sequential fold,
+    /// NaN and −0.0 included, at lengths off the lane multiple.
+    #[test]
+    fn chunked_max_abs_matches_fold() {
+        let fold = |xs: &[f32]| xs.iter().fold(0.0_f32, |m, &v| m.max(v.abs()));
+        let specials = [f32::NAN, -0.0, -f32::NAN, 0.0, -3.5, f32::from_bits(1)];
+        for len in [0_usize, 1, 3, 7, 8, 9, 15, 17, 31, 33, 100] {
+            for pattern in 0..4 {
+                let xs: Vec<f32> = (0..len)
+                    .map(|i| match pattern {
+                        0 => specials[i % specials.len()],
+                        1 => -0.0,
+                        2 => f32::NAN,
+                        _ => ((i * 37 % 11) as f32 - 5.0) * if i % 5 == 0 { f32::NAN } else { 1.0 },
+                    })
+                    .collect();
+                let t = Tensor::from_vec(Shape::new(1, 1, 1, len), xs.clone()).unwrap();
+                assert_eq!(
+                    t.max_abs().to_bits(),
+                    fold(&xs).to_bits(),
+                    "len {len} pattern {pattern}"
+                );
+            }
+        }
+        // An infinity wins wherever it sits, the tail included.
+        let mut xs = vec![1.0_f32; 19];
+        xs[18] = f32::NEG_INFINITY;
+        let t = Tensor::from_vec(Shape::new(1, 1, 1, 19), xs).unwrap();
+        assert_eq!(t.max_abs(), f32::INFINITY);
     }
 
     #[test]

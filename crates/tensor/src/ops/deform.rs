@@ -26,6 +26,83 @@ pub struct DeformConv2d {
     k: usize,
     padding: usize,
     groups: usize,
+    live: LiveTaps,
+}
+
+/// The `(input channel, tap)` samples some output channel actually
+/// weights, derived once from the weights.
+///
+/// Samples are grouped by *site* — one `(group, tap)` offset pair — so
+/// each offset pair is read and its bilinear footprint located once per
+/// output pixel, then shared by every live channel of the group.
+#[derive(Debug, Clone, PartialEq)]
+struct LiveTaps {
+    /// Sites with at least one live channel, in `(group, tap)` order.
+    sites: Vec<Site>,
+    /// Input channel of each sample slot; a site's slots are contiguous.
+    slot_channel: Vec<usize>,
+    /// Per output channel, `(slot, weight)` for every non-zero weight in
+    /// ascending `ci · k² + tap` order — the dense dot product's order
+    /// minus its exact-zero terms.
+    reduce: Vec<Vec<(u32, f32)>>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct Site {
+    /// `group · k² + tap`: the site's `(dy, dx)` offset channel pair.
+    group_tap: usize,
+    /// Kernel-row and kernel-column position of the tap.
+    kh: f32,
+    kw: f32,
+    /// Sample slots `slots.0 .. slots.1` of this site.
+    slots: (usize, usize),
+}
+
+impl LiveTaps {
+    fn new(weight: &[f32], c_out: usize, c_in: usize, k: usize, groups: usize) -> Self {
+        let kk = k * k;
+        let ch_per_group = c_in / groups;
+        let is_live =
+            |ci: usize, tap: usize| (0..c_out).any(|co| weight[(co * c_in + ci) * kk + tap] != 0.0);
+        let mut slot_of = vec![u32::MAX; c_in * kk];
+        let mut sites = Vec::new();
+        let mut slot_channel = Vec::new();
+        for g in 0..groups {
+            for tap in 0..kk {
+                let first = slot_channel.len();
+                for ci in g * ch_per_group..(g + 1) * ch_per_group {
+                    if is_live(ci, tap) {
+                        slot_of[ci * kk + tap] = slot_channel.len() as u32;
+                        slot_channel.push(ci);
+                    }
+                }
+                if slot_channel.len() > first {
+                    sites.push(Site {
+                        group_tap: g * kk + tap,
+                        kh: (tap / k) as f32,
+                        kw: (tap % k) as f32,
+                        slots: (first, slot_channel.len()),
+                    });
+                }
+            }
+        }
+        let reduce = (0..c_out)
+            .map(|co| {
+                let wbase = co * c_in * kk;
+                weight[wbase..wbase + c_in * kk]
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &v)| v != 0.0)
+                    .map(|(i, &v)| (slot_of[i], v))
+                    .collect()
+            })
+            .collect();
+        LiveTaps {
+            sites,
+            slot_channel,
+            reduce,
+        }
+    }
 }
 
 impl DeformConv2d {
@@ -64,6 +141,7 @@ impl DeformConv2d {
                 actual: bias.len(),
             });
         }
+        let live = LiveTaps::new(&weight, c_out, c_in, k, groups);
         Ok(DeformConv2d {
             weight,
             bias,
@@ -72,6 +150,7 @@ impl DeformConv2d {
             k,
             padding,
             groups,
+            live,
         })
     }
 
@@ -135,11 +214,14 @@ impl DeformConv2d {
 
     /// Runs the deformable convolution, fanning output rows across
     /// `exec`'s worker pool. Each row stages `[co][ox]` results in its own
-    /// chunk (bilinear samples computed once per pixel, shared across
-    /// output channels); the reduction skips the structurally zero taps
-    /// of the warping kernels, which for the codec's Dirac-style
-    /// compensation kernels removes almost the entire dot product.
-    /// Results are bit-identical for every worker count.
+    /// chunk. Only the live `(input channel, tap)` samples — those some
+    /// output channel weights non-zero, fixed at construction — are
+    /// bilinearly sampled, once per pixel and shared across output
+    /// channels; each live `(group, tap)` offset pair is read once. For
+    /// the codec's centre-tap warping kernels that is `c_in` samples per
+    /// pixel instead of `c_in · k²`. The reduction accumulates the
+    /// non-zero weights in dense order, so skipping dead taps changes no
+    /// bit. Results are bit-identical for every worker count.
     ///
     /// # Errors
     ///
@@ -169,54 +251,39 @@ impl DeformConv2d {
         }
         let out_shape = Shape::new(n, self.c_out, out_h, out_w);
         let mut out = Tensor::zeros(out_shape);
-        let ch_per_group = self.c_in / self.groups;
-        let kk = self.k * self.k;
         let pad = self.padding as f32;
-
-        // Non-zero taps per output channel, in ascending index order (so
-        // the pruned dot product accumulates in the same order as the
-        // dense one, minus exact-zero terms).
-        let nz: Vec<Vec<(u32, f32)>> = (0..self.c_out)
-            .map(|co| {
-                let wbase = co * self.c_in * kk;
-                self.weight[wbase..wbase + self.c_in * kk]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != 0.0)
-                    .map(|(i, &v)| (i as u32, v))
-                    .collect()
-            })
-            .collect();
+        let live = &self.live;
+        let in_data = input.as_slice();
 
         for nn in 0..n {
+            let planes = &in_data[nn * c * h * w..][..c * h * w];
             // Staging layout: [oy][co][ox], one chunk per output row.
             let mut rows = exec.scratch().take(out_h * self.c_out * out_w);
-            // Sampling (4-tap bilinear per position) dominates the dot
+            // Sampling (4-tap bilinear per live sample) dominates the dot
             // product here, so gate on it rather than the MAC count.
-            let work = (out_h * out_w * self.c_in * kk) as u64 * 4;
+            let work = (out_h * out_w * live.slot_channel.len()) as u64 * 4;
             exec.par_chunks_mut_gated(&mut rows, self.c_out * out_w, work, |oy, row| {
-                let mut sampled = vec![0.0_f32; self.c_in * kk];
+                let mut sampled = vec![0.0_f32; live.slot_channel.len()];
                 for ox in 0..out_w {
-                    // Pre-sample the deformed patch once per (oy, ox):
-                    // sampled[ci][tap].
-                    for g in 0..self.groups {
-                        for tap in 0..kk {
-                            let kh = (tap / self.k) as f32;
-                            let kw = (tap % self.k) as f32;
-                            let dy = offsets.at(nn, (g * kk + tap) * 2, oy, ox);
-                            let dx = offsets.at(nn, (g * kk + tap) * 2 + 1, oy, ox);
-                            let sy = oy as f32 - pad + kh + dy;
-                            let sx = ox as f32 - pad + kw + dx;
-                            for cg in 0..ch_per_group {
-                                let ci = g * ch_per_group + cg;
-                                sampled[ci * kk + tap] = input.sample_bilinear(nn, ci, sy, sx);
-                            }
+                    for site in &live.sites {
+                        let dy = offsets.at(nn, site.group_tap * 2, oy, ox);
+                        let dx = offsets.at(nn, site.group_tap * 2 + 1, oy, ox);
+                        let sy = oy as f32 - pad + site.kh + dy;
+                        let sx = ox as f32 - pad + site.kw + dx;
+                        let (lo, hi) = site.slots;
+                        let fp = Footprint::new(sy, sx, h, w);
+                        for (dst, &ci) in sampled[lo..hi].iter_mut().zip(&live.slot_channel[lo..hi])
+                        {
+                            *dst = match fp {
+                                Some(fp) => fp.sample(&planes[ci * h * w..][..h * w], w),
+                                None => input.sample_bilinear(nn, ci, sy, sx),
+                            };
                         }
                     }
-                    for (co, taps) in nz.iter().enumerate() {
+                    for (co, taps) in live.reduce.iter().enumerate() {
                         let mut acc = self.bias[co];
-                        for &(i, wv) in taps {
-                            acc += sampled[i as usize] * wv;
+                        for &(slot, wv) in taps {
+                            acc += sampled[slot as usize] * wv;
                         }
                         row[co * out_w + ox] = acc;
                     }
@@ -245,9 +312,55 @@ impl DeformConv2d {
     }
 }
 
+/// A bilinear sampling point whose 2×2 footprint lies inside the frame,
+/// located once and shared by every channel sampled there.
+#[derive(Debug, Clone, Copy)]
+struct Footprint {
+    /// Flat index of the top-left corner within a channel plane.
+    base: usize,
+    dy: f32,
+    dx: f32,
+}
+
+impl Footprint {
+    /// Locates `(y, x)` in an `h × w` plane, or `None` when any corner
+    /// falls outside it (the caller then takes the zero-padded path).
+    #[inline]
+    fn new(y: f32, x: f32, h: usize, w: usize) -> Option<Self> {
+        let y0 = y.floor();
+        let x0 = x.floor();
+        let (iy, ix) = (y0 as isize, x0 as isize);
+        if iy < 0 || ix < 0 || iy as usize + 1 >= h || ix as usize + 1 >= w {
+            return None;
+        }
+        Some(Footprint {
+            base: iy as usize * w + ix as usize,
+            dy: y - y0,
+            dx: x - x0,
+        })
+    }
+
+    /// Interpolates one plane — the same expression, evaluated in the
+    /// same order, as [`Tensor::sample_bilinear`], minus its padding
+    /// checks.
+    #[inline]
+    fn sample(self, plane: &[f32], w: usize) -> f32 {
+        let (dy, dx) = (self.dy, self.dx);
+        let v00 = plane[self.base];
+        let v01 = plane[self.base + 1];
+        let v10 = plane[self.base + w];
+        let v11 = plane[self.base + w + 1];
+        v00 * (1.0 - dy) * (1.0 - dx)
+            + v01 * (1.0 - dy) * dx
+            + v10 * dy * (1.0 - dx)
+            + v11 * dy * dx
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::SplitMix64;
 
     /// With all offsets zero, a deformable conv must equal a regular conv.
     #[test]
@@ -330,6 +443,123 @@ mod tests {
         assert!((y.at(0, 0, 0, 0) - 1.0).abs() < 1e-6);
         // Pixel 1: group0 samples x0[2] = 2, group1 samples x1[1] = 100.
         assert!((y.at(0, 0, 0, 1) - 102.0).abs() < 1e-6);
+    }
+
+    /// The pre-live-tap forward pass: samples every `(ci, tap)` through
+    /// [`Tensor::sample_bilinear`] and reduces over the non-zero weights
+    /// in dense order.
+    fn reference_forward(d: &DeformConv2d, x: &Tensor, off: &Tensor) -> Tensor {
+        let (n, _, h, w) = x.shape().dims();
+        let (kk, cpg, pad) = (d.k * d.k, d.c_in / d.groups, d.padding as f32);
+        let (oh, ow) = (h + 2 * d.padding - d.k + 1, w + 2 * d.padding - d.k + 1);
+        let mut out = Tensor::zeros(Shape::new(n, d.c_out, oh, ow));
+        let mut sampled = vec![0.0_f32; d.c_in * kk];
+        for nn in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    for g in 0..d.groups {
+                        for tap in 0..kk {
+                            let dy = off.at(nn, (g * kk + tap) * 2, oy, ox);
+                            let dx = off.at(nn, (g * kk + tap) * 2 + 1, oy, ox);
+                            let sy = oy as f32 - pad + (tap / d.k) as f32 + dy;
+                            let sx = ox as f32 - pad + (tap % d.k) as f32 + dx;
+                            for ci in g * cpg..(g + 1) * cpg {
+                                sampled[ci * kk + tap] = x.sample_bilinear(nn, ci, sy, sx);
+                            }
+                        }
+                    }
+                    for co in 0..d.c_out {
+                        let mut acc = d.bias[co];
+                        for (i, &wv) in d.weight[co * d.c_in * kk..][..d.c_in * kk]
+                            .iter()
+                            .enumerate()
+                        {
+                            if wv != 0.0 {
+                                acc += sampled[i] * wv;
+                            }
+                        }
+                        *out.at_mut(nn, co, oy, ox) = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Live-tap sampling equals sampling every tap, bit for bit, across
+    /// zero patterns (all-zero rows and fully dense included), groups,
+    /// kernel sizes, and fractional and out-of-frame offsets.
+    #[test]
+    fn live_taps_match_every_tap_reference_bit_exactly() {
+        let mut rng = SplitMix64::new(0x11FE);
+        let mut gauss = Gaussian::new(0x11FF);
+        let (c_in, c_out, h, w) = (4, 3, 5, 7);
+        let mut cases = 0;
+        for groups in [1, 2] {
+            for k in [1, 3] {
+                // Keep probability of each weight: 0 = all zero, 1 = dense.
+                for keep in [0.0, 0.15, 0.5, 1.0] {
+                    for trial in 0..3 {
+                        let mut weight: Vec<f32> = (0..c_out * c_in * k * k)
+                            .map(|_| {
+                                if rng.next_f32() < keep {
+                                    gauss.sample(0.0, 1.0)
+                                } else {
+                                    0.0
+                                }
+                            })
+                            .collect();
+                        if trial == 1 {
+                            // An all-zero output-channel row.
+                            weight[..c_in * k * k].fill(0.0);
+                        }
+                        let d = DeformConv2d::new(
+                            weight,
+                            vec![0.25, -0.5, 0.0],
+                            c_out,
+                            c_in,
+                            k,
+                            k / 2,
+                            groups,
+                        )
+                        .unwrap();
+                        let x = Tensor::from_fn(Shape::new(2, c_in, h, w), |_, _, _, _| {
+                            gauss.sample(0.0, 1.0)
+                        });
+                        // Offsets in ±4.5 px reach well past the 5×7
+                        // frame; every third one is a whole pixel.
+                        let mut i = 0;
+                        let off = Tensor::from_fn(
+                            Shape::new(2, d.offset_channels(), h, w),
+                            |_, _, _, _| {
+                                i += 1;
+                                let v = rng.next_f32() * 9.0 - 4.5;
+                                if i % 3 == 0 {
+                                    v.round()
+                                } else {
+                                    v
+                                }
+                            },
+                        );
+                        let want = reference_forward(&d, &x, &off);
+                        for threads in [1, 2] {
+                            let exec = ExecCtx::with_threads(threads);
+                            let got = d.forward_ctx(&x, &off, &exec).unwrap();
+                            assert_eq!(got.shape(), want.shape());
+                            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                                assert_eq!(
+                                    a.to_bits(),
+                                    b.to_bits(),
+                                    "groups {groups} k {k} keep {keep} trial {trial}"
+                                );
+                            }
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 48);
     }
 
     #[test]

@@ -57,7 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nThe learned variants spend far fewer bits per P frame; their quality");
-    println!("ceiling reflects the analytic (untrained) weights — see EXPERIMENTS.md");
-    println!("E1 and `cargo run -p nvc-bench --bin fig8_rd_curves` for full curves.");
+    println!("ceiling reflects the analytic (untrained) weights — see the shape check");
+    println!("of `cargo run -p nvc-bench --bin table1_bdbr` and `--bin fig8_rd_curves`");
+    println!("for full curves.");
     Ok(())
 }
