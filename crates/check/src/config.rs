@@ -8,7 +8,8 @@
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Maximum allowed panic-family call sites (`unwrap`/`expect`/
-    /// `panic!`/`unreachable!`/`todo!`/`unimplemented!`) in
+    /// `unwrap_err`/`expect_err`/`panic!`/`unreachable!`/`todo!`/
+    /// `unimplemented!`) in
     /// `crates/serve/src` non-test code. New code may only lower it.
     pub serve_panic_ceiling: usize,
     /// Crate names whose sources must not read the wall clock.

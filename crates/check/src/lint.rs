@@ -328,7 +328,8 @@ impl File<'_> {
                 continue;
             }
             let t = self.text(ci);
-            let hit = (matches!(t, "unwrap" | "expect") && self.is(ci + 1, "("))
+            let hit = (matches!(t, "unwrap" | "expect" | "unwrap_err" | "expect_err")
+                && self.is(ci + 1, "("))
                 || (PANIC_BANGS.contains(&t) && self.is(ci + 1, "!"));
             if hit {
                 sites.push(self.tok(ci).line);

@@ -120,7 +120,7 @@ fn test_modules_are_exempt_from_order_comments() {
 #[test]
 fn ratchet_counts_only_real_panic_sites_outside_tests() {
     let src = concat!(
-        "fn f(v: Option<u32>) -> u32 {\n",
+        "fn f(v: Option<u32>, r: Result<u32, u32>) -> u32 {\n",
         "    let a = v.unwrap();\n",                 // counted
         "    let b = v.expect(\"reason\");\n",       // counted
         "    let c = v.unwrap_or(0);\n",             // exact-ident: no
@@ -128,7 +128,10 @@ fn ratchet_counts_only_real_panic_sites_outside_tests() {
         "    let s = \"x.unwrap()\"; let _ = s;\n",  // string: no
         "    // x.unwrap() in a comment\n",          // comment: no
         "    if a > 9 { unreachable!(\"nine\") }\n", // counted
-        "    a + b + c + d\n",
+        "    let e = r.unwrap_err();\n",             // counted
+        "    let f = r.expect_err(\"fails\");\n",    // counted
+        "    let g = r.unwrap_or_default();\n",      // exact-ident: no
+        "    a + b + c + d + e + f + g\n",
         "}\n",
         "#[cfg(test)]\n",
         "mod tests {\n",
@@ -137,7 +140,7 @@ fn ratchet_counts_only_real_panic_sites_outside_tests() {
         "}\n",
     );
     let report = lint("crates/serve/src/x.rs", src);
-    assert_eq!(report.panic_sites, vec![2, 3, 8]);
+    assert_eq!(report.panic_sites, vec![2, 3, 8, 9, 10]);
 
     // The same file outside crates/serve/src is not ratcheted.
     let report = lint("crates/video/src/x.rs", src);

@@ -161,7 +161,7 @@ impl FastConv2d {
     }
 
     /// Runs the fast convolution through the two-phase tiled executor
-    /// (see [`crate::tile_exec`]'s module docs in the source): input
+    /// (see the `tile_exec` module docs in the source): input
     /// transforms fan out over tiles, channel reduction + inverse
     /// transforms fan out over output planes, and the hot loops are
     /// allocation-free. Pruned kernels execute in compressed

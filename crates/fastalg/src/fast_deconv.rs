@@ -10,7 +10,7 @@ use nvc_tensor::{Tensor, TensorError};
 /// `T3(6×6, 4×4)` transform pipeline, optionally pruned — the software
 /// model of what the SFTC computes for DeConvs.
 ///
-/// Tiling geometry (derived in [`crate::transforms`]): the input is
+/// Tiling geometry (derived in the `transforms` module): the input is
 /// logically pre-padded with one zero row/column; each tile reads a 5×5
 /// input patch stepping by 3, and produces a 6×6 output tile stepping by
 /// 6. A transposed convolution with `k = 4, s = 2, p = 1` doubles the

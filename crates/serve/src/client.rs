@@ -1,17 +1,74 @@
 //! The blocking client side of the protocol.
 
 use crate::proto::{
-    read_ack_body, read_error_body, read_frame_body, read_stats_body, read_u8, write_frame_msg,
-    write_packet_msg, write_retarget_msg, Ack, Hello, Retarget, Role, MSG_ACK, MSG_END, MSG_ERROR,
-    MSG_FRAME, MSG_PACKET, MSG_STATS,
+    write_frame_msg, write_packet_msg, write_retarget_msg, Ack, Hello, Reply, Retarget, Role,
+    WireBuf, MSG_END,
 };
 use crate::ServeError;
 use nvc_entropy::container::Packet;
 use nvc_video::{Frame, StreamStats};
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
+
+/// The read half of a client connection: the socket, the bytes received
+/// from it, and the handshake that fixes how they parse.
+pub(crate) struct Replies {
+    pub(crate) sock: TcpStream,
+    buf: WireBuf,
+    pub(crate) hello: Hello,
+}
+
+impl Replies {
+    /// Blocks until one whole reply has arrived, reading more bytes
+    /// while the parser needs them. The server's `'X'` failure
+    /// description surfaces as [`ServeError::Remote`].
+    pub(crate) fn recv(&mut self) -> Result<Reply, ServeError> {
+        loop {
+            match self.buf.next(|bytes| self.hello.parse_reply(bytes))? {
+                Some(Reply::Error(message)) => return Err(ServeError::Remote(message)),
+                Some(reply) => return Ok(reply),
+                None => {}
+            }
+            match self.buf.fill(|room| (&self.sock).read(room)) {
+                Ok(0) => {
+                    let why = format!("server closed {} bytes into a reply", self.buf.held().len());
+                    return Err(std::io::Error::new(ErrorKind::UnexpectedEof, why).into());
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+}
+
+/// Opens a client connection on `stream`: writes `hello`, then reads the
+/// server's verdict — the ack, or its `'X'` rejection as
+/// [`ServeError::Remote`].
+pub(crate) fn handshake(
+    stream: &TcpStream,
+    hello: Hello,
+) -> Result<(Replies, BufWriter<TcpStream>, Ack), ServeError> {
+    let mut writer = BufWriter::new(stream.try_clone()?);
+    hello.write_to(&mut writer)?;
+    writer.flush()?;
+    let mut replies = Replies {
+        sock: stream.try_clone()?,
+        buf: WireBuf::new(),
+        hello,
+    };
+    match replies.recv()? {
+        Reply::Ack(ack) => Ok((replies, writer, ack)),
+        other => Err(unexpected("handshake ack", &other)),
+    }
+}
+
+/// The error for a reply the client has no use for at this point.
+pub(crate) fn unexpected(wanted: &str, reply: &Reply) -> ServeError {
+    ServeError::Protocol(format!("expected {wanted}, got tag 0x{:02X}", reply.tag()))
+}
 
 /// Everything a finished stream produced, in order.
 #[derive(Debug, Clone)]
@@ -36,9 +93,8 @@ pub struct StreamSummary {
 /// stream order and accumulate internally; [`StreamClient::finish`]
 /// returns them all plus the stats trailer.
 pub struct StreamClient {
-    reader: BufReader<TcpStream>,
+    replies: Replies,
     writer: BufWriter<TcpStream>,
-    hello: Hello,
     ack: Ack,
     window: usize,
     outstanding: usize,
@@ -54,15 +110,9 @@ impl std::fmt::Debug for StreamClient {
         write!(
             f,
             "StreamClient({:?}, window {}, {} in flight)",
-            self.hello, self.window, self.outstanding
+            &self.replies.hello, self.window, self.outstanding
         )
     }
-}
-
-enum Response {
-    Frame(Frame),
-    Packet(Packet),
-    Stats(StreamStats),
 }
 
 impl StreamClient {
@@ -81,18 +131,11 @@ impl StreamClient {
         }
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        let mut writer = BufWriter::new(stream);
-        hello.write_to(&mut writer)?;
-        writer.flush()?;
-        let mut client = StreamClient {
-            reader,
+        let (replies, writer, ack) = handshake(&stream, hello)?;
+        Ok(StreamClient {
+            replies,
             writer,
-            hello,
-            ack: Ack {
-                rate: 0,
-                degraded: false,
-            },
+            ack,
             window: 4,
             outstanding: 0,
             sent_at: VecDeque::new(),
@@ -100,22 +143,12 @@ impl StreamClient {
             packets: Vec::new(),
             latencies: Vec::new(),
             next_frame_index: 0,
-        };
-        match read_u8(&mut client.reader)? {
-            MSG_ACK => {
-                client.ack = read_ack_body(&mut client.reader, client.hello.version)?;
-                Ok(client)
-            }
-            MSG_ERROR => Err(ServeError::Remote(read_error_body(&mut client.reader)?)),
-            tag => Err(ServeError::Protocol(format!(
-                "expected handshake ack, got tag 0x{tag:02X}"
-            ))),
-        }
+        })
     }
 
     /// The negotiated handshake.
     pub fn hello(&self) -> &Hello {
-        &self.hello
+        &self.replies.hello
     }
 
     /// The rate the server actually granted in its handshake ack. Equal
@@ -148,7 +181,7 @@ impl StreamClient {
     ///
     /// Propagates the socket error.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
+        self.replies.sock.set_read_timeout(timeout)
     }
 
     /// Streams one coded packet to a decode-direction server. Responses
@@ -160,7 +193,7 @@ impl StreamClient {
     /// Returns [`ServeError`] on the wrong direction, socket failure, or
     /// a server-reported error.
     pub fn send_packet(&mut self, packet: &Packet) -> Result<(), ServeError> {
-        if self.hello.role != Role::Decode {
+        if self.hello().role != Role::Decode {
             return Err(ServeError::Protocol(
                 "send_packet on an encode-direction stream".into(),
             ));
@@ -180,7 +213,7 @@ impl StreamClient {
     /// Returns [`ServeError`] on the wrong direction, socket failure, or
     /// a server-reported error.
     pub fn send_frame(&mut self, frame: &Frame) -> Result<(), ServeError> {
-        if !matches!(self.hello.role, Role::Encode | Role::Publish) {
+        if !matches!(self.hello().role, Role::Encode | Role::Publish) {
             return Err(ServeError::Protocol(
                 "send_frame on a decode-direction stream".into(),
             ));
@@ -204,12 +237,12 @@ impl StreamClient {
     /// Returns [`ServeError`] on the wrong direction, a version-1
     /// handshake, socket failure, or a server-reported error.
     pub fn retarget(&mut self, retarget: Retarget) -> Result<(), ServeError> {
-        if !matches!(self.hello.role, Role::Encode | Role::Publish) {
+        if !matches!(self.hello().role, Role::Encode | Role::Publish) {
             return Err(ServeError::Protocol(
                 "retarget on a decode-direction stream".into(),
             ));
         }
-        if self.hello.version < 2 {
+        if !self.hello().supports_retarget() {
             return Err(ServeError::Protocol(
                 "retarget needs protocol version 2".into(),
             ));
@@ -226,14 +259,14 @@ impl StreamClient {
     /// and the real reason is queued on the read side — prefer reporting
     /// that over a bare broken-pipe error.
     fn surface_send_error(&mut self, original: ServeError) -> ServeError {
-        let prior = self.reader.get_ref().read_timeout().ok().flatten();
+        let prior = self.replies.sock.read_timeout().ok().flatten();
         let _ = self
-            .reader
-            .get_ref()
+            .replies
+            .sock
             .set_read_timeout(Some(Duration::from_secs(2)));
         let mut verdict = original;
         for _ in 0..64 {
-            match self.recv() {
+            match self.collect() {
                 Ok(_) => continue, // drain in-flight responses
                 Err(remote @ ServeError::Remote(_)) => {
                     verdict = remote;
@@ -242,52 +275,42 @@ impl StreamClient {
                 Err(_) => break,
             }
         }
-        let _ = self.reader.get_ref().set_read_timeout(prior);
+        let _ = self.replies.sock.set_read_timeout(prior);
         verdict
     }
 
     fn on_sent(&mut self) -> Result<(), ServeError> {
         self.outstanding += 1;
         self.sent_at.push_back(Instant::now());
-        while self.outstanding > self.window {
-            match self.recv()? {
-                Response::Frame(f) => self.frames.push(f),
-                Response::Packet(p) => self.packets.push(p),
-                Response::Stats(_) => {
-                    return Err(ServeError::Protocol(
-                        "stats trailer before end of stream".into(),
-                    ))
-                }
+        self.settle(self.window)
+    }
+
+    /// Receives responses until at most `limit` requests are in flight.
+    fn settle(&mut self, limit: usize) -> Result<(), ServeError> {
+        while self.outstanding > limit {
+            if self.collect()?.is_some() {
+                return Err(ServeError::Protocol(
+                    "stats trailer before end of stream".into(),
+                ));
             }
         }
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<Response, ServeError> {
-        let tag = read_u8(&mut self.reader)?;
-        let response = match tag {
-            MSG_FRAME => {
-                let expect = (self.hello.width, self.hello.height);
-                let (_, frame) = read_frame_body(&mut self.reader, Some(expect))?;
-                Response::Frame(frame)
-            }
-            MSG_PACKET => Response::Packet(Packet::read_from(&mut self.reader)?),
-            MSG_STATS => {
-                let version = self.hello.version;
-                return Ok(Response::Stats(read_stats_body(&mut self.reader, version)?));
-            }
-            MSG_ERROR => return Err(ServeError::Remote(read_error_body(&mut self.reader)?)),
-            tag => {
-                return Err(ServeError::Protocol(format!(
-                    "unexpected response tag 0x{tag:02X}"
-                )))
-            }
-        };
+    /// Receives one reply: a response is stored with its latency, the
+    /// stats trailer is returned.
+    fn collect(&mut self) -> Result<Option<StreamStats>, ServeError> {
+        match self.replies.recv()? {
+            Reply::Frame(_, frame) => self.frames.push(frame),
+            Reply::Packet(packet) => self.packets.push(packet),
+            Reply::Stats(stats) => return Ok(Some(stats)),
+            other => return Err(unexpected("a response", &other)),
+        }
         if let Some(sent) = self.sent_at.pop_front() {
             self.latencies.push(sent.elapsed());
         }
         self.outstanding = self.outstanding.saturating_sub(1);
-        Ok(response)
+        Ok(None)
     }
 
     /// Blocks until every in-flight request has been answered (the
@@ -301,18 +324,7 @@ impl StreamClient {
     /// Returns [`ServeError`] on socket failure or a server-reported
     /// error.
     pub fn drain(&mut self) -> Result<(), ServeError> {
-        while self.outstanding > 0 {
-            match self.recv()? {
-                Response::Frame(f) => self.frames.push(f),
-                Response::Packet(p) => self.packets.push(p),
-                Response::Stats(_) => {
-                    return Err(ServeError::Protocol(
-                        "stats trailer before end of stream".into(),
-                    ))
-                }
-            }
-        }
-        Ok(())
+        self.settle(0)
     }
 
     /// Ends the stream: sends the end-of-stream marker, drains every
@@ -332,17 +344,13 @@ impl StreamClient {
             return Err(self.surface_send_error(e.into()));
         }
         loop {
-            match self.recv()? {
-                Response::Frame(f) => self.frames.push(f),
-                Response::Packet(p) => self.packets.push(p),
-                Response::Stats(stats) => {
-                    return Ok(StreamSummary {
-                        frames: self.frames,
-                        packets: self.packets,
-                        stats,
-                        latencies: self.latencies,
-                    })
-                }
+            if let Some(stats) = self.collect()? {
+                return Ok(StreamSummary {
+                    frames: self.frames,
+                    packets: self.packets,
+                    stats,
+                    latencies: self.latencies,
+                });
             }
         }
     }

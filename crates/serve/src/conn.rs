@@ -18,7 +18,7 @@
 
 use crate::broadcast::{CachedPacket, RingPop, SubscriberRing};
 use crate::poll::PollWaker;
-use crate::proto::{error_msg_bytes, stats_msg_bytes, HelloDecoder, MsgDecoder, MSG_PACKET};
+use crate::proto::{error_msg_bytes, stats_msg_bytes, Hello, WireBuf, MSG_PACKET};
 use crate::server::{Job, Slot};
 use crate::sync::LockExt;
 use nvc_video::StreamStats;
@@ -415,12 +415,14 @@ pub(crate) struct Conn<'env> {
 /// What phase a connection is in — its protocol state machine.
 pub(crate) enum ConnKind<'env> {
     /// Accumulating the handshake.
-    Hello(HelloDecoder),
-    /// An established encode/decode/publish session: bytes decode into
+    Hello(WireBuf),
+    /// An established encode/decode/publish session: bytes parse into
     /// jobs for the compute workers via the session's slot.
     Session {
         slot: Arc<Slot<'env>>,
-        decoder: MsgDecoder,
+        /// The negotiated handshake, which shapes how messages parse.
+        hello: Hello,
+        buf: WireBuf,
         /// A decoded job the slot had no queue space for; retried when
         /// the workers free space and wake this connection.
         parked: Option<Job>,
@@ -443,7 +445,7 @@ pub(crate) enum ConnKind<'env> {
 mod tests {
     use super::*;
     use crate::broadcast::{BroadcastInfo, BroadcastRegistry};
-    use crate::proto::{read_error_body, read_stats_body, MSG_ERROR, MSG_STATS};
+    use crate::proto::Reply;
     use nvc_entropy::container::{FrameKind, Packet};
     use std::io::Read;
     use std::net::{Shutdown, TcpListener};
@@ -459,6 +461,20 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         (server, client)
+    }
+
+    /// Everything the server sent a `hello` client until it closed.
+    fn replies(client: &mut TcpStream, hello: &Hello) -> Vec<Reply> {
+        let mut buf = WireBuf::new();
+        let mut bytes = Vec::new();
+        client.read_to_end(&mut bytes).unwrap();
+        buf.feed(&bytes);
+        let mut out = Vec::new();
+        while let Some(reply) = buf.next(|b| hello.parse_reply(b)).unwrap() {
+            out.push(reply);
+        }
+        assert!(buf.held().is_empty(), "connection closed mid-message");
+        out
     }
 
     fn cached(frame_index: u32, kind: FrameKind) -> CachedPacket {
@@ -530,27 +546,27 @@ mod tests {
             other => panic!("expected a graceful close, got {other:?}"),
         }
 
-        let mut tag = [0u8; 1];
-        slow_client.read_exact(&mut tag).unwrap();
-        assert_eq!(tag[0], MSG_ERROR, "eviction must arrive as 'X'");
-        let reason = read_error_body(&mut &slow_client).unwrap();
-        assert!(reason.contains("lagging"), "{reason}");
-        assert_eq!(
-            slow_client.read(&mut tag).unwrap(),
-            0,
-            "connection must close after the eviction notice"
-        );
-
-        for want in 0..4u32 {
-            fast_client.read_exact(&mut tag).unwrap();
-            assert_eq!(tag[0], MSG_PACKET);
-            let packet = Packet::read_from(&mut &fast_client).unwrap();
-            assert_eq!(packet.frame_index, want);
+        let mut hello = Hello::subscribe("game", 32, 32);
+        hello.version = 3;
+        // The eviction notice arrives as 'X', and nothing follows it:
+        // the connection closes.
+        match replies(&mut slow_client, &hello).as_slice() {
+            [Reply::Error(reason)] => assert!(reason.contains("lagging"), "{reason}"),
+            other => panic!("expected exactly one eviction notice, got {other:?}"),
         }
-        fast_client.read_exact(&mut tag).unwrap();
-        assert_eq!(tag[0], MSG_STATS, "clean end must carry the trailer");
-        let stats = read_stats_body(&mut &fast_client, 3).unwrap();
-        assert_eq!(stats.frames, 4);
+
+        let fast = replies(&mut fast_client, &hello);
+        assert_eq!(fast.len(), 5, "{fast:?}");
+        for (want, reply) in fast[..4].iter().enumerate() {
+            match reply {
+                Reply::Packet(packet) => assert_eq!(packet.frame_index, want as u32),
+                other => panic!("expected packet {want}, got {other:?}"),
+            }
+        }
+        match &fast[4] {
+            Reply::Stats(stats) => assert_eq!(stats.frames, 4),
+            other => panic!("clean end must carry the trailer, got {other:?}"),
+        }
     }
 
     /// The outbox applies a queued close only after every previously
@@ -565,10 +581,10 @@ mod tests {
             WriteStatus::Close(CloseKind::Drain)
         ));
         srv.shutdown(Shutdown::Write).unwrap();
-        let mut tag = [0u8; 1];
-        client.read_exact(&mut tag).unwrap();
-        assert_eq!(tag[0], MSG_ERROR);
-        assert_eq!(read_error_body(&mut &client).unwrap(), "boom");
+        match replies(&mut client, &Hello::ctvc_decode(1, 32, 32)).as_slice() {
+            [Reply::Error(reason)] => assert_eq!(reason, "boom"),
+            other => panic!("expected the notice then a close, got {other:?}"),
+        }
 
         // Peer closes; the next serviced write discovers the death and
         // subsequent pushes are dropped.

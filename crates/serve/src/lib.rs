@@ -3,7 +3,8 @@
 //!
 //! The packet container ([`nvc_entropy::container::Packet`]: length
 //! prefix + CRC) and the session API
-//! ([`nvc_video::codec::EncoderSession`] / [`DecoderSession`]) were built
+//! ([`nvc_video::codec::EncoderSession`] /
+//! [`DecoderSession`](nvc_video::codec::DecoderSession)) were built
 //! transport-shaped; this crate is the transport. A connection speaks a
 //! small tagged-message protocol (see [`proto`]):
 //!
@@ -13,7 +14,8 @@
 //!    target-bpp ([`Hello::with_target_bpp`]) — and the *direction*:
 //!    whether the server runs the encoder (raw frames in, packets out)
 //!    or the decoder (packets in, reconstructed frames out);
-//! 2. length-delimited messages stream one coded [`Packet`] or one raw
+//! 2. length-delimited messages stream one coded
+//!    [`Packet`](nvc_entropy::container::Packet) or one raw
 //!    frame at a time, each answered in order by the opposite kind; an
 //!    encode stream may interleave [`Retarget`] messages (`'R'`) to
 //!    switch its rate mode mid-stream, optionally forcing an intra
@@ -28,8 +30,8 @@
 //! multiplexes them through a readiness loop built from `std` primitives
 //! alone (a token-carrying wake channel plus a coarse timer wheel — no
 //! `epoll` binding, no external crates). Handshakes and mid-stream
-//! messages are parsed by resumable decoders that accept bytes in
-//! arbitrary chunks; parsed jobs land in a bounded per-session queue (a
+//! messages are parsed by [`proto`]'s one-per-message parsers over
+//! whatever bytes each nonblocking read returned; parsed jobs land in a bounded per-session queue (a
 //! full queue parks the connection's decoder, backpressuring the client
 //! through TCP), and a fixed set of workers schedules sessions onto the
 //! compute in GOP-grain batches — packet *N + 1* of stream A is parsed
@@ -121,7 +123,7 @@ mod sync;
 
 pub use client::{StreamClient, StreamSummary};
 pub use governor::GovernorConfig;
-pub use proto::{Ack, Direction, Family, Hello, JoinInfo, Retarget, Role, TargetBppWire};
+pub use proto::{Ack, Family, Hello, JoinInfo, Retarget, Role, TargetBppWire, WireError};
 pub use server::{scrape_metrics, ServeConfig, ServeReport, Server, ServerHandle};
 pub use subscribe::{SubscribeClient, SubscribeEvent, SubscribeSummary};
 
@@ -134,9 +136,12 @@ use std::fmt;
 pub enum ServeError {
     /// Socket-level failure.
     Io(std::io::Error),
-    /// Malformed wire data detected locally (bad tag, bad CRC, bad
-    /// geometry, truncation).
+    /// A local protocol misuse (wrong call for the stream's role, a
+    /// reply out of order, the server closing mid-message).
     Protocol(String),
+    /// Malformed wire data received (bad tag, bad CRC, bad geometry,
+    /// over-cap length).
+    Wire(WireError),
     /// A failure reported by the peer before it closed the connection.
     Remote(String),
     /// Codec-side failure (invalid frame, undecodable payload).
@@ -148,6 +153,7 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Io(e) => write!(f, "io error: {e}"),
             ServeError::Protocol(s) => write!(f, "protocol error: {s}"),
+            ServeError::Wire(e) => write!(f, "protocol error: {e}"),
             ServeError::Remote(s) => write!(f, "remote error: {s}"),
             ServeError::Codec(s) => write!(f, "codec error: {s}"),
         }
@@ -158,6 +164,7 @@ impl Error for ServeError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ServeError::Io(e) => Some(e),
+            ServeError::Wire(e) => Some(e),
             _ => None,
         }
     }
@@ -169,9 +176,9 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-impl From<nvc_entropy::CodingError> for ServeError {
-    fn from(e: nvc_entropy::CodingError) -> Self {
-        ServeError::Protocol(e.to_string())
+impl From<WireError> for ServeError {
+    fn from(e: WireError) -> Self {
+        ServeError::Wire(e)
     }
 }
 

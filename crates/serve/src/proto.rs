@@ -51,16 +51,36 @@
 //! session *degraded* — granted a lower starting rung than requested —
 //! instead of rejecting it outright when the aggregate budget is tight.
 //!
+//! # Parsing
+//!
+//! Every message has exactly one parser. It works on a byte slice and
+//! does no I/O, and it has three outcomes ([`Parsed`]): `Ok(None)` while
+//! more bytes are needed, `Ok(Some((message, consumed)))` once one whole
+//! message is there, or a typed [`WireError`]. Caps — geometry, payload
+//! and name lengths, the stats frame count — are checked the moment
+//! their header field arrives, and no length field sizes an allocation
+//! before the bytes it covers are buffered. [`Hello::parse`] reads the
+//! handshake; [`Hello::parse_msg`] (client → server) and
+//! [`Hello::parse_reply`] (server → client) read what follows it, shaped
+//! by the negotiated handshake. This module is the only place protocol
+//! versions differ.
+//!
+//! [`WireBuf`] holds received bytes until they parse, for both
+//! directions: the server's poller feeds it whatever each nonblocking
+//! read returns, and the blocking clients fill it from their socket
+//! until a reply completes.
+//!
 //! The module is public so alternative transports (or tests) can speak
 //! the protocol directly; [`StreamClient`](crate::StreamClient),
 //! [`SubscribeClient`](crate::SubscribeClient) and
 //! [`Server`](crate::Server) are the intended entry points.
 
-use crate::ServeError;
 use nvc_entropy::container::{crc32, Packet, MAX_PAYLOAD_BYTES, PACKET_HEADER_BYTES};
+use nvc_entropy::CodingError;
 use nvc_tensor::{Shape, Tensor};
 use nvc_video::{Frame, FrameType, StreamStats};
-use std::io::{Read, Write};
+use std::fmt;
+use std::io::Write;
 
 /// Handshake magic: every connection starts with these four bytes.
 pub const MAGIC: [u8; 4] = *b"NVCS";
@@ -142,13 +162,11 @@ impl Family {
         }
     }
 
-    fn from_tag(tag: u8) -> Result<Self, ServeError> {
+    fn from_tag(tag: u8) -> Result<Self, WireError> {
         match tag {
             0 => Ok(Family::Ctvc),
             1 => Ok(Family::Hybrid),
-            other => Err(ServeError::Protocol(format!(
-                "unknown codec family 0x{other:02X}"
-            ))),
+            tag => Err(WireError::UnknownTag("codec family", tag)),
         }
     }
 }
@@ -175,10 +193,6 @@ pub enum Role {
     Subscribe,
 }
 
-/// The server-side role of a connection. Known as `Direction` before
-/// the broadcast roles arrived in protocol version 3.
-pub type Direction = Role;
-
 impl Role {
     fn tag(self) -> u8 {
         match self {
@@ -189,13 +203,13 @@ impl Role {
         }
     }
 
-    fn from_tag(tag: u8) -> Result<Self, ServeError> {
+    fn from_tag(tag: u8) -> Result<Self, WireError> {
         match tag {
             0 => Ok(Role::Encode),
             1 => Ok(Role::Decode),
             2 => Ok(Role::Publish),
             3 => Ok(Role::Subscribe),
-            other => Err(ServeError::Protocol(format!("unknown role 0x{other:02X}"))),
+            tag => Err(WireError::UnknownTag("role", tag)),
         }
     }
 
@@ -368,6 +382,12 @@ impl Hello {
         self
     }
 
+    /// Whether this handshake's protocol version carries the `'R'`
+    /// retarget message (version ≥ 2).
+    pub(crate) fn supports_retarget(&self) -> bool {
+        self.version >= 2
+    }
+
     /// Serializes the handshake in its `version`'s layout.
     ///
     /// # Errors
@@ -462,118 +482,69 @@ impl Hello {
         Ok(())
     }
 
-    /// Reads and structurally validates a handshake (magic, supported
-    /// version, known tags, plausible geometry, broadcast-name rules) —
-    /// the version-1 through version-4 layouts. Semantic validation —
-    /// rate range, target plausibility, codec-specific geometry
-    /// constraints, whether the named broadcast exists — happens
-    /// server-side after this.
+    /// Parses a handshake off the front of `bytes` and structurally
+    /// validates it (magic, supported version, known tags, plausible
+    /// geometry, broadcast-name rules) — the version-1 through version-4
+    /// layouts. Semantic validation — rate range, target plausibility,
+    /// codec-specific geometry constraints, whether the named broadcast
+    /// exists — happens server-side after this.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Protocol`] on anything that is not a
-    /// well-formed handshake of a supported version.
-    pub fn read_from(r: &mut impl Read) -> Result<Hello, ServeError> {
-        let mut head = [0u8; 8];
-        r.read_exact(&mut head)
-            .map_err(|e| ServeError::Protocol(format!("truncated handshake: {e}")))?;
-        if head[0..4] != MAGIC {
-            return Err(ServeError::Protocol(format!(
-                "bad magic {:02X?} (expected \"NVCS\")",
-                &head[0..4]
-            )));
-        }
-        let version = head[4];
-        if !(MIN_VERSION..=VERSION).contains(&version) {
-            return Err(ServeError::Protocol(format!(
-                "unsupported protocol version {version} (accepted {MIN_VERSION}..={VERSION})"
-            )));
-        }
-        let family = Family::from_tag(head[5])?;
-        let role = Role::from_tag(head[6])?;
-        if role.is_broadcast() && version < 3 {
-            return Err(ServeError::Protocol(format!(
-                "{role:?} role needs protocol version 3, handshake is version {version}"
-            )));
-        }
-        let rate = head[7];
-        let width = read_u16(r)? as usize;
-        let height = read_u16(r)? as usize;
-        if width == 0 || height == 0 || width > MAX_DIM || height > MAX_DIM {
-            return Err(ServeError::Protocol(format!(
-                "implausible stream geometry {width}x{height}"
-            )));
-        }
-        let target = if version >= 2 {
-            let mode = read_u8(r)?;
-            let milli_bpp = read_u32(r)?;
-            let window = read_u16(r)?;
-            match mode {
-                0 => None,
-                1 => Some(TargetBppWire { milli_bpp, window }),
-                other => {
-                    return Err(ServeError::Protocol(format!(
-                        "unknown rate-mode tag 0x{other:02X}"
-                    )))
+    /// Returns the [`WireError`] of the first invalid field, as soon as
+    /// that field is buffered.
+    pub fn parse(bytes: &[u8]) -> Parsed<Hello> {
+        parse_with(bytes, hello)
+    }
+
+    /// Parses one client → server message (`'P'`/`'F'`/`'R'`/`'E'`) off
+    /// the front of `bytes`, for the stream this handshake negotiated:
+    /// packets only on decode streams, frames only on encode and publish
+    /// streams (checked against the negotiated geometry), retargets only
+    /// from protocol version 2.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::UnexpectedTag`] for a tag that is unknown or
+    /// not valid for this role or version, or the message's own
+    /// [`WireError`].
+    pub fn parse_msg(&self, bytes: &[u8]) -> Parsed<WireMsg> {
+        parse_with(bytes, |c| {
+            Ok(match (c.u8()?, self.role) {
+                (MSG_PACKET, Role::Decode) => WireMsg::Packet(packet(c)?),
+                (MSG_FRAME, Role::Encode | Role::Publish) => {
+                    let (index, frame) = frame(c, (self.width, self.height))?;
+                    WireMsg::Frame(index, frame)
                 }
-            }
-        } else {
-            None
-        };
-        let (gop, broadcast) = if version >= 3 {
-            let gop = read_u16(r)?;
-            let len = read_u8(r)? as usize;
-            if len > MAX_NAME_BYTES {
-                return Err(ServeError::Protocol(format!(
-                    "broadcast name claims {len} bytes (cap {MAX_NAME_BYTES})"
-                )));
-            }
-            let mut bytes = vec![0u8; len];
-            r.read_exact(&mut bytes)
-                .map_err(|e| ServeError::Protocol(format!("truncated broadcast name: {e}")))?;
-            let name = String::from_utf8(bytes)
-                .map_err(|_| ServeError::Protocol("broadcast name is not UTF-8".into()))?;
-            (gop, if name.is_empty() { None } else { Some(name) })
-        } else {
-            (0, None)
-        };
-        if role.is_broadcast() && broadcast.is_none() {
-            return Err(ServeError::Protocol(format!(
-                "{role:?} handshake needs a broadcast name"
-            )));
-        }
-        if !role.is_broadcast() && broadcast.is_some() {
-            return Err(ServeError::Protocol(format!(
-                "{role:?} handshake cannot carry a broadcast name"
-            )));
-        }
-        let client = if version >= 4 {
-            let len = read_u8(r)? as usize;
-            if len > MAX_NAME_BYTES {
-                return Err(ServeError::Protocol(format!(
-                    "client identity claims {len} bytes (cap {MAX_NAME_BYTES})"
-                )));
-            }
-            let mut bytes = vec![0u8; len];
-            r.read_exact(&mut bytes)
-                .map_err(|e| ServeError::Protocol(format!("truncated client identity: {e}")))?;
-            let name = String::from_utf8(bytes)
-                .map_err(|_| ServeError::Protocol("client identity is not UTF-8".into()))?;
-            (!name.is_empty()).then_some(name)
-        } else {
-            None
-        };
-        Ok(Hello {
-            version,
-            family,
-            role,
-            width,
-            height,
-            rate,
-            target,
-            gop,
-            broadcast,
-            client,
+                (MSG_RETARGET, _) if self.supports_retarget() => WireMsg::Retarget(retarget(c)?),
+                (MSG_END, _) => WireMsg::End,
+                (tag, _) => return Err(WireError::UnexpectedTag(tag).into()),
+            })
+        })
+    }
+
+    /// Parses one server → client message off the front of `bytes`, in
+    /// this handshake's protocol version's layouts (ack flags, stats
+    /// columns); frames are checked against the negotiated geometry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::UnexpectedTag`] for an unknown tag, or the
+    /// message's own [`WireError`].
+    pub fn parse_reply(&self, bytes: &[u8]) -> Parsed<Reply> {
+        parse_with(bytes, |c| {
+            Ok(match c.u8()? {
+                MSG_ACK => Reply::Ack(ack(c, self.version)?),
+                MSG_JOIN => Reply::Join(join(c)?),
+                MSG_PACKET => Reply::Packet(packet(c)?),
+                MSG_FRAME => {
+                    let (index, frame) = frame(c, (self.width, self.height))?;
+                    Reply::Frame(index, frame)
+                }
+                MSG_STATS => Reply::Stats(stats(c, self.version)?),
+                MSG_ERROR => Reply::Error(error(c)?),
+                tag => return Err(WireError::UnexpectedTag(tag).into()),
+            })
         })
     }
 }
@@ -619,24 +590,6 @@ pub fn ack_msg_bytes(version: u8, ack: &Ack) -> Vec<u8> {
     let mut bytes = Vec::new();
     let _ = write_ack_msg(&mut bytes, version, ack);
     bytes
-}
-
-/// Reads a handshake-acknowledgement body (after its `'A'` tag) in the
-/// given protocol version's layout. Unknown flag bits are ignored so a
-/// newer server can extend the byte.
-///
-/// # Errors
-///
-/// Returns [`ServeError::Protocol`] on truncation.
-pub fn read_ack_body(r: &mut impl Read, version: u8) -> Result<Ack, ServeError> {
-    let rate = read_u8(r).map_err(|e| ServeError::Protocol(format!("truncated ack: {e}")))?;
-    let degraded = if version >= 4 {
-        let flags = read_u8(r).map_err(|e| ServeError::Protocol(format!("truncated ack: {e}")))?;
-        flags & ACK_DEGRADED != 0
-    } else {
-        false
-    };
-    Ok(Ack { rate, degraded })
 }
 
 /// A mid-stream rate retarget (the `'R'` message): replaces the encode
@@ -695,34 +648,6 @@ pub fn write_retarget_msg(w: &mut impl Write, retarget: &Retarget) -> std::io::R
     w.write_all(&[u8::from(retarget.restart_gop)])
 }
 
-/// Reads a retarget body (after its `'R'` tag).
-///
-/// # Errors
-///
-/// Returns [`ServeError::Protocol`] on truncation or an unknown
-/// rate-mode tag.
-pub fn read_retarget_body(r: &mut impl Read) -> Result<Retarget, ServeError> {
-    let mode = read_u8(r)?;
-    let rate = read_u8(r)?;
-    let milli_bpp = read_u32(r)?;
-    let window = read_u16(r)?;
-    let restart = read_u8(r)?;
-    let target = match mode {
-        0 => None,
-        1 => Some(TargetBppWire { milli_bpp, window }),
-        other => {
-            return Err(ServeError::Protocol(format!(
-                "unknown rate-mode tag 0x{other:02X}"
-            )))
-        }
-    };
-    Ok(Retarget {
-        rate,
-        target,
-        restart_gop: restart != 0,
-    })
-}
-
 /// What a subscriber learns about the broadcast it just joined (the
 /// `'J'` message, server → subscriber, right after the ack).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -758,66 +683,18 @@ pub fn write_join_msg(w: &mut impl Write, join: &JoinInfo) -> std::io::Result<()
     w.write_all(&join.gop.to_le_bytes())
 }
 
-/// Reads a join-info body (after its `'J'` tag).
-///
-/// # Errors
-///
-/// Returns [`ServeError::Protocol`] on truncation, an unknown family
-/// tag or implausible geometry.
-pub fn read_join_body(r: &mut impl Read) -> Result<JoinInfo, ServeError> {
-    let family = Family::from_tag(read_u8(r)?)?;
-    let rate = read_u8(r)?;
-    let width = read_u16(r)? as usize;
-    let height = read_u16(r)? as usize;
-    if width == 0 || height == 0 || width > MAX_DIM || height > MAX_DIM {
-        return Err(ServeError::Protocol(format!(
-            "implausible broadcast geometry {width}x{height}"
-        )));
-    }
-    let start_index = read_u32(r)?;
-    let gop = read_u16(r)?;
-    Ok(JoinInfo {
-        family,
-        width,
-        height,
-        start_index,
-        rate,
-        gop,
-    })
+fn dims_in_range(width: usize, height: usize) -> bool {
+    (1..=MAX_DIM).contains(&width) && (1..=MAX_DIM).contains(&height)
 }
 
 fn check_wire_dims(width: usize, height: usize) -> std::io::Result<()> {
-    if width == 0 || height == 0 || width > MAX_DIM || height > MAX_DIM {
+    if !dims_in_range(width, height) {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
             format!("geometry {width}x{height} outside the wire range 1..={MAX_DIM}"),
         ));
     }
     Ok(())
-}
-
-pub(crate) fn read_u8(r: &mut impl Read) -> std::io::Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
-}
-
-pub(crate) fn read_u16(r: &mut impl Read) -> std::io::Result<u16> {
-    let mut b = [0u8; 2];
-    r.read_exact(&mut b)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-pub(crate) fn read_u32(r: &mut impl Read) -> std::io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-pub(crate) fn read_u64(r: &mut impl Read) -> std::io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 /// Writes one raw-frame message (`'F'` tag + body).
@@ -839,60 +716,6 @@ pub fn write_frame_msg(w: &mut impl Write, index: u32, frame: &Frame) -> std::io
     w.write_all(&(frame.height() as u16).to_le_bytes())?;
     w.write_all(&crc32(&payload).to_le_bytes())?;
     w.write_all(&payload)
-}
-
-/// Reads a raw-frame body (after its `'F'` tag), validating geometry
-/// plausibility and the pixel CRC. Returns the sender's frame index and
-/// the frame; f32 bit patterns round-trip exactly.
-///
-/// When `expect` gives the stream's negotiated geometry, the header is
-/// checked against it *before* any payload is read — a hostile size
-/// field can then never drive an allocation or a blocking bulk read.
-///
-/// # Errors
-///
-/// Returns [`ServeError::Protocol`] on truncation, implausible or
-/// mismatched geometry, or CRC mismatch.
-pub fn read_frame_body(
-    r: &mut impl Read,
-    expect: Option<(usize, usize)>,
-) -> Result<(u32, Frame), ServeError> {
-    let index = read_u32(r)?;
-    let width = read_u16(r)? as usize;
-    let height = read_u16(r)? as usize;
-    let crc = read_u32(r)?;
-    if width == 0 || height == 0 || width > MAX_DIM || height > MAX_DIM {
-        return Err(ServeError::Protocol(format!(
-            "implausible frame geometry {width}x{height}"
-        )));
-    }
-    if let Some((ew, eh)) = expect {
-        if (width, height) != (ew, eh) {
-            return Err(ServeError::Protocol(format!(
-                "frame {width}x{height} does not match negotiated {ew}x{eh}"
-            )));
-        }
-    }
-    let mut payload = vec![0u8; 12 * width * height];
-    r.read_exact(&mut payload)
-        .map_err(|e| ServeError::Protocol(format!("truncated frame payload: {e}")))?;
-    let actual = crc32(&payload);
-    if actual != crc {
-        return Err(ServeError::Protocol(format!(
-            "frame CRC mismatch: stored {crc:08X}, computed {actual:08X}"
-        )));
-    }
-    let mut tensor = Tensor::zeros(Shape::new(1, 3, height, width));
-    for (v, chunk) in tensor
-        .as_mut_slice()
-        .iter_mut()
-        .zip(payload.chunks_exact(4))
-    {
-        // `chunks_exact(4)` guarantees the width without a fallible cast.
-        *v = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    }
-    let frame = Frame::from_tensor(tensor).map_err(|e| ServeError::Protocol(e.to_string()))?;
-    Ok((index, frame))
 }
 
 /// Writes one coded-packet message (`'P'` tag + serialized packet).
@@ -949,60 +772,6 @@ pub fn stats_msg_bytes(stats: &StreamStats, version: u8) -> Vec<u8> {
     bytes
 }
 
-/// Reads a stream-statistics body (after its `'S'` tag) in the given
-/// protocol version's layout. Version-1 trailers leave
-/// `frame_types`/`rate_per_frame` empty.
-///
-/// # Errors
-///
-/// Returns [`ServeError::Protocol`] on truncation, an implausible frame
-/// count, or an unknown frame-type byte.
-pub fn read_stats_body(r: &mut impl Read, version: u8) -> Result<StreamStats, ServeError> {
-    let frames = read_u32(r)? as usize;
-    if frames > MAX_STATS_FRAMES {
-        return Err(ServeError::Protocol(format!(
-            "stats trailer claims {frames} frames"
-        )));
-    }
-    let total_bytes = read_u64(r)? as usize;
-    let mut bytes_per_frame = Vec::with_capacity(frames);
-    for _ in 0..frames {
-        bytes_per_frame.push(read_u32(r)? as usize);
-    }
-    let mut bits_per_frame = Vec::with_capacity(frames);
-    for _ in 0..frames {
-        bits_per_frame.push(read_u64(r)?);
-    }
-    let mut frame_types = Vec::new();
-    let mut rate_per_frame = Vec::new();
-    if version >= 2 {
-        frame_types.reserve(frames);
-        for _ in 0..frames {
-            frame_types.push(match read_u8(r)? {
-                b'I' => FrameType::Intra,
-                b'P' => FrameType::Predicted,
-                other => {
-                    return Err(ServeError::Protocol(format!(
-                        "unknown frame-type byte 0x{other:02X} in stats trailer"
-                    )))
-                }
-            });
-        }
-        rate_per_frame.reserve(frames);
-        for _ in 0..frames {
-            rate_per_frame.push(read_u8(r)?);
-        }
-    }
-    Ok(StreamStats {
-        frames,
-        bytes_per_frame,
-        bits_per_frame,
-        frame_types,
-        rate_per_frame,
-        total_bytes,
-    })
-}
-
 /// Writes a failure-description message (`'X'` tag + body). The sender
 /// closes the connection after this.
 ///
@@ -1025,143 +794,91 @@ pub fn error_msg_bytes(message: &str) -> Vec<u8> {
     bytes
 }
 
-/// Reads a failure-description body (after its `'X'` tag).
-///
-/// # Errors
-///
-/// Returns [`ServeError::Protocol`] on truncation or an oversized body.
-pub fn read_error_body(r: &mut impl Read) -> Result<String, ServeError> {
-    let len = read_u32(r)? as usize;
-    if len > MAX_ERROR_BYTES {
-        return Err(ServeError::Protocol(format!(
-            "error message claims {len} bytes"
-        )));
-    }
-    let mut bytes = vec![0u8; len];
-    r.read_exact(&mut bytes)
-        .map_err(|e| ServeError::Protocol(format!("truncated error message: {e}")))?;
-    Ok(String::from_utf8_lossy(&bytes).into_owned())
-}
-
 // ---------------------------------------------------------------------------
-// Incremental decoders
+// Parsing
 // ---------------------------------------------------------------------------
-//
-// The event-driven server reads whatever the socket has — a byte, half a
-// message, three messages — and feeds it here. Both decoders are exact
-// re-expressions of the blocking readers above: they buffer until one
-// whole parse can succeed, then run the *same* parsing code over the
-// buffer, so every outcome (values and error strings alike) is
-// byte-identical to what a blocking `read_exact` loop would produce.
 
-/// A reader that serves a byte slice, then an optional injected error,
-/// then EOF. Re-running a blocking parser over a connection's partial
-/// buffer through this reproduces the exact error a blocking reader
-/// would have surfaced when the connection died (or timed out) at that
-/// point in the stream.
-struct TailRead<'a> {
-    buf: &'a [u8],
-    err: Option<std::io::Error>,
+/// What every parser returns: `Ok(None)` while more bytes are needed,
+/// `Ok(Some((message, consumed)))` once one whole message sits at the
+/// front of the input, `Err` when the bytes can never become a valid
+/// message.
+pub type Parsed<T> = Result<Option<(T, usize)>, WireError>;
+
+/// Why received bytes are not a valid message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum WireError {
+    /// The handshake does not open with [`MAGIC`].
+    BadMagic([u8; 4]),
+    /// A handshake version outside [`MIN_VERSION`]`..=`[`VERSION`].
+    UnsupportedVersion(u8),
+    /// A byte with no meaning in its field: `(field, byte)`.
+    UnknownTag(&'static str, u8),
+    /// A broadcast role in a handshake older than version 3:
+    /// `(role, version)`.
+    RoleNeedsVersion(Role, u8),
+    /// A broadcast role without a broadcast name, or another role with
+    /// one.
+    BroadcastName(Role),
+    /// Geometry outside `1..=`[`MAX_DIM`]: `(what, width, height)`.
+    Geometry(&'static str, usize, usize),
+    /// A frame whose geometry is not the negotiated one:
+    /// `((width, height), negotiated)`.
+    GeometryMismatch((usize, usize), (usize, usize)),
+    /// A length or count field above its cap: `(field, claimed, cap)`.
+    OverCap(&'static str, usize, usize),
+    /// A name field that is not UTF-8.
+    NotUtf8(&'static str),
+    /// Frame pixels that do not match their CRC: `(stored, computed)`.
+    FrameCrc(u32, u32),
+    /// A packet the container rejects (unknown frame kind, CRC
+    /// mismatch).
+    Packet(CodingError),
+    /// A message tag that is unknown, or not valid for the stream's role
+    /// or protocol version.
+    UnexpectedTag(u8),
 }
 
-impl Read for TailRead<'_> {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        if !self.buf.is_empty() {
-            let n = self.buf.len().min(out.len());
-            out[..n].copy_from_slice(&self.buf[..n]);
-            self.buf = &self.buf[n..];
-            return Ok(n);
-        }
-        match self.err.take() {
-            Some(e) => Err(e),
-            None => Ok(0),
-        }
-    }
-}
-
-/// The error `read_exact` reports at a clean EOF ("failed to fill whole
-/// buffer") — what a blocking reader sees when the peer closes between
-/// messages.
-fn eof_error() -> std::io::Error {
-    let mut byte = [0u8; 1];
-    (&[][..])
-        .read_exact(&mut byte)
-        .expect_err("empty reader cannot fill")
-}
-
-fn is_truncation(e: &ServeError) -> bool {
-    match e {
-        ServeError::Io(e) => e.kind() == std::io::ErrorKind::UnexpectedEof,
-        ServeError::Protocol(s) => s.contains("truncated"),
-        _ => false,
-    }
-}
-
-/// Resumable [`Hello`] decoder: accepts handshake bytes in arbitrary
-/// chunks and yields the parsed `Hello` once enough have arrived.
-///
-/// [`feed`](HelloDecoder::feed) speculatively re-parses the buffered
-/// prefix after every chunk; a truncation-shaped failure means "need
-/// more bytes", anything else is the same terminal error
-/// [`Hello::read_from`] would have produced. The handshake is at most a
-/// few hundred bytes, so the re-parse is free.
-#[derive(Debug, Default)]
-pub struct HelloDecoder {
-    buf: Vec<u8>,
-}
-
-impl HelloDecoder {
-    /// A decoder with an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Buffers `chunk` and returns the handshake if it is now complete.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Hello::read_from`], surfaced as soon as
-    /// the buffered prefix is provably invalid.
-    pub fn feed(&mut self, chunk: &[u8]) -> Result<Option<Hello>, ServeError> {
-        self.buf.extend_from_slice(chunk);
-        let mut cursor = &self.buf[..];
-        match Hello::read_from(&mut cursor) {
-            Ok(hello) => {
-                let consumed = self.buf.len() - cursor.len();
-                self.buf.drain(..consumed);
-                Ok(Some(hello))
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WireError::BadMagic(magic) => write!(f, "bad magic {magic:02X?} (expected \"NVCS\")"),
+            WireError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported protocol version {v} (accepted {MIN_VERSION}..={VERSION})"
+            ),
+            WireError::UnknownTag(field, tag) => write!(f, "unknown {field} 0x{tag:02X}"),
+            WireError::RoleNeedsVersion(role, v) => write!(
+                f,
+                "{role:?} role needs protocol version 3, handshake is version {v}"
+            ),
+            WireError::BroadcastName(role) if role.is_broadcast() => {
+                write!(f, "{role:?} handshake needs a broadcast name")
             }
-            Err(e) if is_truncation(&e) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Takes any bytes buffered *beyond* the handshake — the client may
-    /// pipeline its first messages behind the `Hello`, and they belong
-    /// to the stream decoder.
-    pub fn take_rest(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
-    }
-
-    /// The error a blocking [`Hello::read_from`] would have reported had
-    /// the connection hit `err` (or clean EOF, when `None`) at the
-    /// current point mid-handshake. Used when the peer hangs up or the
-    /// handshake deadline fires with the handshake still incomplete.
-    pub fn interrupt(&self, err: Option<std::io::Error>) -> ServeError {
-        let mut tail = TailRead {
-            buf: &self.buf,
-            err,
-        };
-        match Hello::read_from(&mut tail) {
-            Err(e) => e,
-            // Unreachable when the handshake is genuinely incomplete;
-            // cover it anyway rather than panic on a caller misuse.
-            Ok(_) => ServeError::Protocol("connection closed during handshake".into()),
+            WireError::BroadcastName(role) => {
+                write!(f, "{role:?} handshake cannot carry a broadcast name")
+            }
+            WireError::Geometry(what, w, h) => write!(f, "implausible {what} geometry {w}x{h}"),
+            WireError::GeometryMismatch((w, h), (nw, nh)) => {
+                write!(f, "frame {w}x{h} does not match negotiated {nw}x{nh}")
+            }
+            WireError::OverCap(what, claimed, cap) => {
+                write!(f, "{what} of {claimed} exceeds the cap of {cap}")
+            }
+            WireError::NotUtf8(what) => write!(f, "{what} is not UTF-8"),
+            WireError::FrameCrc(stored, computed) => write!(
+                f,
+                "frame CRC mismatch: stored {stored:08X}, computed {computed:08X}"
+            ),
+            WireError::Packet(e) => write!(f, "bad packet: {e}"),
+            WireError::UnexpectedTag(tag) => write!(f, "unexpected message tag 0x{tag:02X}"),
         }
     }
 }
 
-/// One parsed post-handshake client message.
+impl std::error::Error for WireError {}
+
+/// One client → server message after the handshake.
 #[derive(Debug)]
 pub enum WireMsg {
     /// A coded packet on a decode stream (`'P'`).
@@ -1175,210 +892,495 @@ pub enum WireMsg {
     End,
 }
 
-/// Resumable decoder for the post-handshake client→server message
-/// stream: `'P'`/`'F'`/`'R'`/`'E'` tags, filtered by the stream's role
-/// and negotiated protocol version exactly like the blocking reader
-/// loop was.
-///
-/// Message sizes are computed from the self-delimiting framing (packet
-/// length prefix, frame geometry header), so between messages the
-/// decoder buffers nothing and inside a message it buffers only that
-/// message. Errors are terminal: the server hangs up on the first bad
-/// message, so the decoder never needs to resynchronize.
+/// One server → client message.
 #[derive(Debug)]
-pub struct MsgDecoder {
-    role: Role,
-    version: u8,
-    /// Negotiated geometry, checked against every frame header.
-    expect: (usize, usize),
-    buf: Vec<u8>,
+pub enum Reply {
+    /// The handshake ack (`'A'`).
+    Ack(Ack),
+    /// Broadcast join info (`'J'`, subscribers).
+    Join(JoinInfo),
+    /// A coded packet (`'P'`, encode, publish and subscribe streams).
+    Packet(Packet),
+    /// A reconstructed frame and its index (`'F'`, decode streams).
+    Frame(u32, Frame),
+    /// The stream-statistics trailer (`'S'`).
+    Stats(StreamStats),
+    /// The server's failure description (`'X'`); it closes right after.
+    Error(String),
 }
 
-impl MsgDecoder {
-    /// A decoder for a stream with the given negotiated handshake.
-    pub fn new(role: Role, version: u8, width: usize, height: usize) -> Self {
-        MsgDecoder {
-            role,
-            version,
-            expect: (width, height),
-            buf: Vec::new(),
+impl Reply {
+    /// The message's wire tag.
+    pub(crate) fn tag(&self) -> u8 {
+        match self {
+            Reply::Ack(_) => MSG_ACK,
+            Reply::Join(_) => MSG_JOIN,
+            Reply::Packet(_) => MSG_PACKET,
+            Reply::Frame(..) => MSG_FRAME,
+            Reply::Stats(_) => MSG_STATS,
+            Reply::Error(_) => MSG_ERROR,
         }
     }
+}
 
-    /// Buffers a chunk of stream bytes. Drain with
-    /// [`next`](MsgDecoder::next) until it returns `Ok(None)`.
-    pub fn feed(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
+/// How many bytes [`WireBuf::fill`] offers a read at once.
+const READ_ROOM: usize = 16 << 10;
+
+/// The receive side of one connection: bytes that arrived but have not
+/// parsed into a whole message yet.
+///
+/// Parsed messages advance a read offset; the consumed prefix is
+/// compacted away when the next bytes arrive, so a burst of pipelined
+/// messages costs no per-message copy. The buffer only ever holds bytes
+/// that actually arrived: a length field never reserves space ahead of
+/// its payload.
+#[derive(Debug, Default)]
+pub struct WireBuf {
+    bytes: Vec<u8>,
+    /// Offset of the first unparsed byte.
+    start: usize,
+}
+
+impl WireBuf {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Parses the next complete message out of the buffer, or `None` if
-    /// more bytes are needed.
+    /// Appends received bytes.
+    pub fn feed(&mut self, chunk: &[u8]) {
+        self.compact();
+        self.bytes.extend_from_slice(chunk);
+    }
+
+    /// Reads more bytes straight into the buffer: `read` gets free room
+    /// at the end and returns how much of it it filled (0 at end of
+    /// stream).
+    pub(crate) fn fill(
+        &mut self,
+        read: impl FnOnce(&mut [u8]) -> std::io::Result<usize>,
+    ) -> std::io::Result<usize> {
+        self.compact();
+        let held = self.bytes.len();
+        self.bytes.resize(held + READ_ROOM, 0);
+        let result = read(&mut self.bytes[held..]);
+        let filled = result.as_ref().map_or(0, |&n| n.min(READ_ROOM));
+        self.bytes.truncate(held + filled);
+        result
+    }
+
+    /// The received bytes not yet parsed.
+    pub fn held(&self) -> &[u8] {
+        &self.bytes[self.start..]
+    }
+
+    /// Runs `parse` over the held bytes and consumes the message it
+    /// returns; `Ok(None)` means more bytes are needed.
     ///
     /// # Errors
     ///
-    /// The exact strings the blocking reader loop surfaced as abort
-    /// reasons: `bad packet: …`, `bad frame: …`, `bad retarget: …`, or
-    /// `unexpected message tag 0x…` (which also covers tags that are
-    /// valid in general but not for this role or version).
-    pub fn next_msg(&mut self) -> Result<Option<WireMsg>, String> {
-        /// Tag byte plus the packet container header — enough to know a
-        /// packet's full length (or reject its length claim).
-        const PACKET_NEED: usize = 1 + PACKET_HEADER_BYTES;
-        /// Tag byte plus the frame header (`index`, `w`, `h`, `crc`) —
-        /// enough to know a frame's full length (or reject its
-        /// geometry).
-        const FRAME_NEED: usize = 1 + 12;
-        /// Tag byte plus the fixed-size retarget body.
-        const RETARGET_NEED: usize = 1 + 9;
-        let Some(&tag) = self.buf.first() else {
+    /// Passes on the parser's [`WireError`]; the bytes stay held.
+    pub fn next<T>(
+        &mut self,
+        parse: impl FnOnce(&[u8]) -> Parsed<T>,
+    ) -> Result<Option<T>, WireError> {
+        let Some((msg, used)) = parse(self.held())? else {
             return Ok(None);
         };
-        match (tag, self.role) {
-            (MSG_PACKET, Role::Decode) => {
-                if self.buf.len() < PACKET_NEED {
-                    return Ok(None);
-                }
-                // Length-guarded by the `PACKET_NEED` check above.
-                let len = u32::from_le_bytes([self.buf[1], self.buf[2], self.buf[3], self.buf[4]])
-                    as usize;
-                // An over-cap length claim parses (and fails) from the
-                // header alone — never wait for a payload that no
-                // legitimate sender produces.
-                if len <= MAX_PAYLOAD_BYTES && self.buf.len() < PACKET_NEED + len {
-                    return Ok(None);
-                }
-                let mut cursor = &self.buf[1..];
-                match Packet::read_from(&mut cursor) {
-                    Ok(packet) => {
-                        let consumed = self.buf.len() - cursor.len();
-                        self.buf.drain(..consumed);
-                        Ok(Some(WireMsg::Packet(packet)))
-                    }
-                    Err(e) => Err(format!("bad packet: {e}")),
-                }
-            }
-            (MSG_FRAME, Role::Encode | Role::Publish) => {
-                if self.buf.len() < FRAME_NEED {
-                    return Ok(None);
-                }
-                // Length-guarded by the `FRAME_NEED` check above.
-                let width = u16::from_le_bytes([self.buf[5], self.buf[6]]) as usize;
-                let height = u16::from_le_bytes([self.buf[7], self.buf[8]]) as usize;
-                // A header that `read_frame_body` rejects before its
-                // payload read (implausible or mismatched geometry)
-                // parses from the header alone, like the blocking
-                // reader did.
-                let header_ok = width != 0
-                    && height != 0
-                    && width <= MAX_DIM
-                    && height <= MAX_DIM
-                    && (width, height) == self.expect;
-                if header_ok && self.buf.len() < FRAME_NEED + 12 * width * height {
-                    return Ok(None);
-                }
-                let mut cursor = &self.buf[1..];
-                match read_frame_body(&mut cursor, Some(self.expect)) {
-                    Ok((index, frame)) => {
-                        let consumed = self.buf.len() - cursor.len();
-                        self.buf.drain(..consumed);
-                        Ok(Some(WireMsg::Frame(index, frame)))
-                    }
-                    Err(e) => Err(format!("bad frame: {e}")),
-                }
-            }
-            (MSG_RETARGET, _) if self.version >= 2 => {
-                if self.buf.len() < RETARGET_NEED {
-                    return Ok(None);
-                }
-                let mut cursor = &self.buf[1..];
-                match read_retarget_body(&mut cursor) {
-                    Ok(retarget) => {
-                        let consumed = self.buf.len() - cursor.len();
-                        self.buf.drain(..consumed);
-                        Ok(Some(WireMsg::Retarget(retarget)))
-                    }
-                    Err(e) => Err(format!("bad retarget: {e}")),
-                }
-            }
-            (MSG_END, _) => {
-                self.buf.drain(..1);
-                Ok(Some(WireMsg::End))
-            }
-            (tag, _) => Err(format!("unexpected message tag 0x{tag:02X}")),
+        self.start += used;
+        if self.start == self.bytes.len() {
+            self.bytes.clear();
+            self.start = 0;
+        }
+        Ok(Some(msg))
+    }
+
+    /// The reason a handshake failed when its connection died (or its
+    /// deadline passed) — `cause` — with these bytes held.
+    pub fn lost_in_handshake(&self, cause: &str) -> String {
+        format!(
+            "handshake: {cause} with {} handshake bytes received",
+            self.held().len()
+        )
+    }
+
+    /// The reason a stream aborted when its connection died — `cause` —
+    /// with these bytes held: between messages, or inside the message
+    /// the held bytes start.
+    pub fn lost_mid_stream(&self, cause: &str) -> String {
+        match self.held().first() {
+            None => format!("connection lost mid-stream: {cause} between messages"),
+            Some(&tag) => format!(
+                "connection lost mid-stream: {cause} with {} bytes of a '{}' message received",
+                self.held().len(),
+                char::from(tag).escape_default()
+            ),
         }
     }
 
-    /// The abort reason a blocking reader loop would have reported had
-    /// the connection hit `err` (or clean EOF, when `None`) at the
-    /// current point in the stream: between messages that is
-    /// `connection lost mid-stream: …`; inside a message it is the
-    /// matching `bad packet/frame/retarget: …` truncation error.
-    pub fn interrupt(&self, err: Option<std::io::Error>) -> String {
-        let Some(&tag) = self.buf.first() else {
-            let e = err.unwrap_or_else(eof_error);
-            return format!("connection lost mid-stream: {e}");
-        };
-        let mut tail = TailRead {
-            buf: &self.buf[1..],
-            err,
-        };
-        match (tag, self.role) {
-            (MSG_PACKET, Role::Decode) => match Packet::read_from(&mut tail) {
-                Err(e) => format!("bad packet: {e}"),
-                Ok(_) => format!("connection lost mid-stream: {}", eof_error()),
-            },
-            (MSG_FRAME, Role::Encode | Role::Publish) => {
-                match read_frame_body(&mut tail, Some(self.expect)) {
-                    Err(e) => format!("bad frame: {e}"),
-                    Ok(_) => format!("connection lost mid-stream: {}", eof_error()),
-                }
-            }
-            (MSG_RETARGET, _) if self.version >= 2 => match read_retarget_body(&mut tail) {
-                Err(e) => format!("bad retarget: {e}"),
-                Ok(_) => format!("connection lost mid-stream: {}", eof_error()),
-            },
-            (tag, _) => format!("unexpected message tag 0x{tag:02X}"),
+    /// Moves the unparsed tail to the front.
+    fn compact(&mut self) {
+        if self.start > 0 {
+            self.bytes.copy_within(self.start.., 0);
+            self.bytes.truncate(self.bytes.len() - self.start);
+            self.start = 0;
         }
     }
+}
+
+/// Why a parse stopped before the end of a message.
+enum Stop {
+    /// The input ends inside the message.
+    More,
+    /// The bytes are invalid.
+    Bad(WireError),
+}
+
+impl From<WireError> for Stop {
+    fn from(e: WireError) -> Self {
+        Stop::Bad(e)
+    }
+}
+
+/// Reads little-endian fields off the front of a byte slice.
+#[derive(Clone, Copy)]
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// The next `n` bytes, or [`Stop::More`] if they have not arrived.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], Stop> {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        let taken = rest.get(..n).ok_or(Stop::More)?;
+        self.pos += n;
+        Ok(taken)
+    }
+
+    /// [`take`](Cursor::take) without advancing.
+    fn peek(&self, n: usize) -> Result<&'a [u8], Stop> {
+        let mut probe = *self;
+        probe.take(n)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], Stop> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    fn u8(&mut self) -> Result<u8, Stop> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    fn u16(&mut self) -> Result<u16, Stop> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, Stop> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, Stop> {
+        self.array().map(u64::from_le_bytes)
+    }
+}
+
+fn parse_with<T>(
+    bytes: &[u8],
+    parse: impl FnOnce(&mut Cursor<'_>) -> Result<T, Stop>,
+) -> Parsed<T> {
+    let mut cursor = Cursor { bytes, pos: 0 };
+    match parse(&mut cursor) {
+        Ok(msg) => Ok(Some((msg, cursor.pos))),
+        Err(Stop::More) => Ok(None),
+        Err(Stop::Bad(e)) => Err(e),
+    }
+}
+
+fn over_cap(what: &'static str, claimed: usize, cap: usize) -> Result<(), Stop> {
+    if claimed > cap {
+        return Err(WireError::OverCap(what, claimed, cap).into());
+    }
+    Ok(())
+}
+
+/// `[width: u16][height: u16]`, each in `1..=MAX_DIM`.
+fn dims(c: &mut Cursor<'_>, what: &'static str) -> Result<(usize, usize), Stop> {
+    let width = usize::from(c.u16()?);
+    let height = usize::from(c.u16()?);
+    if !dims_in_range(width, height) {
+        return Err(WireError::Geometry(what, width, height).into());
+    }
+    Ok((width, height))
+}
+
+/// `[len: u8][utf-8]`; empty means absent.
+fn name(c: &mut Cursor<'_>, what: &'static str) -> Result<Option<String>, Stop> {
+    let len = usize::from(c.u8()?);
+    over_cap(what, len, MAX_NAME_BYTES)?;
+    let name = std::str::from_utf8(c.take(len)?).map_err(|_| WireError::NotUtf8(what))?;
+    Ok((!name.is_empty()).then(|| name.to_string()))
+}
+
+/// `[mode: u8]`: 0 fixed rate, 1 target bpp.
+fn rate_mode(c: &mut Cursor<'_>, field: &'static str) -> Result<bool, Stop> {
+    match c.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        tag => Err(WireError::UnknownTag(field, tag).into()),
+    }
+}
+
+fn hello(c: &mut Cursor<'_>) -> Result<Hello, Stop> {
+    let magic = c.array()?;
+    if magic != MAGIC {
+        return Err(WireError::BadMagic(magic).into());
+    }
+    let version = c.u8()?;
+    if !(MIN_VERSION..=VERSION).contains(&version) {
+        return Err(WireError::UnsupportedVersion(version).into());
+    }
+    let family = Family::from_tag(c.u8()?)?;
+    let role = Role::from_tag(c.u8()?)?;
+    if role.is_broadcast() && version < 3 {
+        return Err(WireError::RoleNeedsVersion(role, version).into());
+    }
+    let rate = c.u8()?;
+    let (width, height) = dims(c, "stream")?;
+    let target = if version >= 2 {
+        let targeted = rate_mode(c, "rate mode")?;
+        let milli_bpp = c.u32()?;
+        let window = c.u16()?;
+        targeted.then_some(TargetBppWire { milli_bpp, window })
+    } else {
+        None
+    };
+    let (gop, broadcast) = if version >= 3 {
+        (c.u16()?, name(c, "broadcast name length")?)
+    } else {
+        (0, None)
+    };
+    if role.is_broadcast() != broadcast.is_some() {
+        return Err(WireError::BroadcastName(role).into());
+    }
+    let client = if version >= 4 {
+        name(c, "client identity length")?
+    } else {
+        None
+    };
+    Ok(Hello {
+        version,
+        family,
+        role,
+        width,
+        height,
+        rate,
+        target,
+        gop,
+        broadcast,
+        client,
+    })
+}
+
+/// `'A'` body: `[rate]`, plus `[flags]` from version 4. Unknown flag
+/// bits are ignored so a newer server can extend the byte.
+fn ack(c: &mut Cursor<'_>, version: u8) -> Result<Ack, Stop> {
+    let rate = c.u8()?;
+    let degraded = version >= 4 && (c.u8()? & ACK_DEGRADED) != 0;
+    Ok(Ack { rate, degraded })
+}
+
+/// `'R'` body: `[mode][rate][milli_bpp: u32][window: u16][restart]`.
+fn retarget(c: &mut Cursor<'_>) -> Result<Retarget, Stop> {
+    let targeted = rate_mode(c, "retarget rate mode")?;
+    let rate = c.u8()?;
+    let milli_bpp = c.u32()?;
+    let window = c.u16()?;
+    let restart_gop = c.u8()? != 0;
+    Ok(Retarget {
+        rate,
+        target: targeted.then_some(TargetBppWire { milli_bpp, window }),
+        restart_gop,
+    })
+}
+
+/// `'J'` body: `[family][rate][w: u16][h: u16][start: u32][gop: u16]`.
+fn join(c: &mut Cursor<'_>) -> Result<JoinInfo, Stop> {
+    let family = Family::from_tag(c.u8()?)?;
+    let rate = c.u8()?;
+    let (width, height) = dims(c, "broadcast")?;
+    let start_index = c.u32()?;
+    let gop = c.u16()?;
+    Ok(JoinInfo {
+        family,
+        width,
+        height,
+        start_index,
+        rate,
+        gop,
+    })
+}
+
+/// `'F'` body: `[index: u32][w: u16][h: u16][crc32: u32][rgb f32 LE]`.
+/// The geometry must be the negotiated one, so the payload length is
+/// bounded by the handshake before any pixel is awaited.
+fn frame(c: &mut Cursor<'_>, negotiated: (usize, usize)) -> Result<(u32, Frame), Stop> {
+    let index = c.u32()?;
+    let (width, height) = dims(c, "frame")?;
+    if (width, height) != negotiated {
+        return Err(WireError::GeometryMismatch((width, height), negotiated).into());
+    }
+    let stored = c.u32()?;
+    let payload = c.take(12 * width * height)?;
+    let computed = crc32(payload);
+    if computed != stored {
+        return Err(WireError::FrameCrc(stored, computed).into());
+    }
+    let mut tensor = Tensor::zeros(Shape::new(1, 3, height, width));
+    for (v, b) in tensor
+        .as_mut_slice()
+        .iter_mut()
+        .zip(payload.chunks_exact(4))
+    {
+        *v = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    }
+    let frame =
+        Frame::from_tensor(tensor).map_err(|_| WireError::Geometry("frame", width, height))?;
+    Ok((index, frame))
+}
+
+/// `'P'` body: one serialized [`Packet`]. The length field leads the
+/// container header, so its cap is checked as soon as it arrives.
+fn packet(c: &mut Cursor<'_>) -> Result<Packet, Stop> {
+    let mut probe = *c;
+    let len = probe.u32()? as usize;
+    over_cap("packet payload length", len, MAX_PAYLOAD_BYTES)?;
+    Packet::peek_header(c.peek(PACKET_HEADER_BYTES)?).map_err(WireError::Packet)?;
+    let (packet, _) =
+        Packet::from_bytes(c.take(PACKET_HEADER_BYTES + len)?).map_err(WireError::Packet)?;
+    Ok(packet)
+}
+
+/// `'S'` body: `[frames: u32][total_bytes: u64][bytes: u32 × n]
+/// [bits: u64 × n]`, and from version 2 `[type: u8 × n][rate: u8 × n]`.
+/// Every column is buffered before any is collected.
+fn stats(c: &mut Cursor<'_>, version: u8) -> Result<StreamStats, Stop> {
+    let frames = c.u32()? as usize;
+    over_cap("stats frame count", frames, MAX_STATS_FRAMES)?;
+    let total_bytes = c.u64()? as usize;
+    let per_frame = if version >= 2 { 4 + 8 + 1 + 1 } else { 4 + 8 };
+    let body = c.take(per_frame * frames)?;
+    let (bytes, rest) = body.split_at(4 * frames);
+    let (bits, rest) = rest.split_at(8 * frames);
+    let (types, rates) = rest.split_at(rest.len() / 2);
+    let frame_types = types
+        .iter()
+        .map(|&tag| match tag {
+            b'I' => Ok(FrameType::Intra),
+            b'P' => Ok(FrameType::Predicted),
+            tag => Err(WireError::UnknownTag("stats frame type", tag)),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(StreamStats {
+        frames,
+        bytes_per_frame: bytes
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+            .collect(),
+        bits_per_frame: bits
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+            .collect(),
+        frame_types,
+        rate_per_frame: rates.to_vec(),
+        total_bytes,
+    })
+}
+
+/// `'X'` body: `[len: u32][utf-8]`, decoded lossily.
+fn error(c: &mut Cursor<'_>) -> Result<String, Stop> {
+    let len = c.u32()? as usize;
+    over_cap("error message length", len, MAX_ERROR_BYTES)?;
+    Ok(String::from_utf8_lossy(c.take(len)?).into_owned())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn hello_roundtrips() {
-        let h = Hello::ctvc_decode(2, 96, 64);
+    fn hello_bytes(h: &Hello) -> Vec<u8> {
         let mut buf = Vec::new();
         h.write_to(&mut buf).unwrap();
-        assert_eq!(Hello::read_from(&mut &buf[..]).unwrap(), h);
+        buf
+    }
+
+    /// A parse that must consume exactly `len` bytes.
+    fn whole<T>(parsed: Parsed<T>, len: usize) -> T {
+        let (msg, used) = parsed.unwrap().expect("a whole message");
+        assert_eq!(used, len, "consumed length");
+        msg
+    }
+
+    fn parse_hello(buf: &[u8]) -> Hello {
+        whole(Hello::parse(buf), buf.len())
+    }
+
+    /// A client of `version` whose replies are parsed.
+    fn peer(version: u8) -> Hello {
+        let mut h = Hello::ctvc_decode(1, 4, 6);
+        h.version = version;
+        h
+    }
+
+    #[test]
+    fn hello_roundtrips() {
         for h in [
+            Hello::ctvc_decode(2, 96, 64),
             Hello::ctvc_encode(0, 16, 16),
             Hello::hybrid_decode(40, 640, 368),
             Hello::hybrid_encode(28, 1920, 1088),
         ] {
-            let mut buf = Vec::new();
-            h.write_to(&mut buf).unwrap();
-            assert_eq!(Hello::read_from(&mut &buf[..]).unwrap(), h);
+            assert_eq!(parse_hello(&hello_bytes(&h)), h);
         }
+        // Pipelined bytes behind the hello are not consumed.
+        let mut buf = hello_bytes(&Hello::ctvc_decode(2, 96, 64));
+        let len = buf.len();
+        buf.push(MSG_END);
+        assert_eq!(Hello::parse(&buf).unwrap().unwrap().1, len);
     }
 
     #[test]
     fn hello_rejects_garbage() {
-        // Bad magic.
-        assert!(Hello::read_from(&mut &b"XXXX\x01\x00\x00\x00\x10\x00\x10\x00"[..]).is_err());
-        // Bad version.
-        assert!(Hello::read_from(&mut &b"NVCS\x09\x00\x00\x00\x10\x00\x10\x00"[..]).is_err());
-        // Unknown family / direction tags.
-        assert!(Hello::read_from(&mut &b"NVCS\x01\x07\x00\x00\x10\x00\x10\x00"[..]).is_err());
-        assert!(Hello::read_from(&mut &b"NVCS\x01\x00\x07\x00\x10\x00\x10\x00"[..]).is_err());
-        // Zero geometry.
-        assert!(Hello::read_from(&mut &b"NVCS\x01\x00\x00\x00\x00\x00\x10\x00"[..]).is_err());
-        // Truncation at every prefix.
-        let mut buf = Vec::new();
-        Hello::ctvc_decode(1, 32, 32).write_to(&mut buf).unwrap();
+        let bad = |bytes: &[u8]| Hello::parse(bytes).unwrap_err();
+        assert!(matches!(
+            bad(b"XXXX\x01\x00\x00\x00\x10\x00\x10\x00"),
+            WireError::BadMagic(_)
+        ));
+        assert_eq!(
+            bad(b"NVCS\x09\x00\x00\x00\x10\x00\x10\x00"),
+            WireError::UnsupportedVersion(9)
+        );
+        assert!(matches!(
+            bad(b"NVCS\x01\x07\x00\x00\x10\x00\x10\x00"),
+            WireError::UnknownTag(_, 7)
+        ));
+        assert!(matches!(
+            bad(b"NVCS\x01\x00\x07\x00\x10\x00\x10\x00"),
+            WireError::UnknownTag(_, 7)
+        ));
+        assert!(matches!(
+            bad(b"NVCS\x01\x00\x00\x00\x00\x00\x10\x00"),
+            WireError::Geometry(_, 0, _)
+        ));
+        // A bad field fails as soon as it arrives, without its tail.
+        assert!(matches!(bad(b"XXXX"), WireError::BadMagic(_)));
+        assert_eq!(bad(b"NVCS\x09"), WireError::UnsupportedVersion(9));
+        // Every proper prefix of a valid hello needs more bytes.
+        let buf = hello_bytes(&Hello::ctvc_decode(1, 32, 32));
         for cut in 0..buf.len() {
-            assert!(Hello::read_from(&mut &buf[..cut]).is_err(), "cut {cut}");
+            assert!(Hello::parse(&buf[..cut]).unwrap().is_none(), "cut {cut}");
         }
     }
 
@@ -1391,18 +1393,32 @@ mod tests {
         let mut buf = Vec::new();
         write_frame_msg(&mut buf, 7, &frame).unwrap();
         assert_eq!(buf[0], MSG_FRAME);
-        let (index, back) = read_frame_body(&mut &buf[1..], None).unwrap();
+        let encoder = Hello::ctvc_encode(1, 4, 6);
+        let WireMsg::Frame(index, back) = whole(encoder.parse_msg(&buf), buf.len()) else {
+            panic!("not a frame");
+        };
         assert_eq!(index, 7);
         assert_eq!(back.tensor().as_slice(), frame.tensor().as_slice());
+        // The decode-side parser reads the same bytes the same way.
+        let Reply::Frame(7, back) = whole(peer(VERSION).parse_reply(&buf), buf.len()) else {
+            panic!("not frame 7");
+        };
+        assert_eq!(back.tensor().as_slice(), frame.tensor().as_slice());
         // A negotiated-geometry mismatch is caught on the header alone.
-        assert!(read_frame_body(&mut &buf[1..], Some((4, 6))).is_ok());
-        assert!(read_frame_body(&mut &buf[1..13], Some((16, 16))).is_err());
+        let other = Hello::ctvc_encode(1, 16, 16);
+        assert!(matches!(
+            other.parse_msg(&buf[..9]),
+            Err(WireError::GeometryMismatch(..))
+        ));
+        // Truncation needs more bytes.
+        assert!(encoder.parse_msg(&buf[..buf.len() - 4]).unwrap().is_none());
         // Pixel corruption is caught by the CRC.
         let last = buf.len() - 1;
         buf[last] ^= 0x01;
-        assert!(read_frame_body(&mut &buf[1..], None).is_err());
-        // Truncation fails cleanly.
-        assert!(read_frame_body(&mut &buf[1..buf.len() - 4], None).is_err());
+        assert!(matches!(
+            encoder.parse_msg(&buf),
+            Err(WireError::FrameCrc(..))
+        ));
     }
 
     #[test]
@@ -1424,23 +1440,38 @@ mod tests {
             rate_per_frame: vec![1, 1, 2],
             total_bytes: 240,
         };
-        let mut buf = Vec::new();
-        write_stats_msg(&mut buf, &stats, VERSION).unwrap();
+        let buf = stats_msg_bytes(&stats, VERSION);
         assert_eq!(buf[0], MSG_STATS);
-        assert_eq!(read_stats_body(&mut &buf[1..], VERSION).unwrap(), stats);
-        assert!(read_stats_body(&mut &buf[1..buf.len() - 1], VERSION).is_err());
+        let Reply::Stats(back) = whole(peer(VERSION).parse_reply(&buf), buf.len()) else {
+            panic!("not stats");
+        };
+        assert_eq!(back, stats);
+        assert!(peer(VERSION)
+            .parse_reply(&buf[..buf.len() - 1])
+            .unwrap()
+            .is_none());
 
         // The version-1 layout drops the frame-type and rate columns.
-        let mut v1 = Vec::new();
-        write_stats_msg(&mut v1, &stats, 1).unwrap();
+        let v1 = stats_msg_bytes(&stats, 1);
         assert!(v1.len() < buf.len());
-        let back = read_stats_body(&mut &v1[1..], 1).unwrap();
+        let Reply::Stats(back) = whole(peer(1).parse_reply(&v1), v1.len()) else {
+            panic!("not stats");
+        };
         assert_eq!(back.bits_per_frame, stats.bits_per_frame);
         assert!(back.frame_types.is_empty() && back.rate_per_frame.is_empty());
+
+        // An unknown frame-type byte is rejected.
+        let mut bad = buf.clone();
+        bad[buf.len() - 4] = b'Z';
+        assert!(matches!(
+            peer(VERSION).parse_reply(&bad),
+            Err(WireError::UnknownTag(_, b'Z'))
+        ));
     }
 
     #[test]
     fn retarget_message_roundtrips() {
+        let encoder = Hello::ctvc_encode(1, 16, 16);
         let mut buf = Vec::new();
         for r in [
             Retarget::fixed(2),
@@ -1451,12 +1482,49 @@ mod tests {
             buf.clear();
             write_retarget_msg(&mut buf, &r).unwrap();
             assert_eq!(buf[0], MSG_RETARGET);
-            assert_eq!(read_retarget_body(&mut &buf[1..]).unwrap(), r);
+            let WireMsg::Retarget(back) = whole(encoder.parse_msg(&buf), buf.len()) else {
+                panic!("not a retarget");
+            };
+            assert_eq!(back, r);
         }
-        // Truncation and unknown mode tags fail cleanly.
-        assert!(read_retarget_body(&mut &buf[1..buf.len() - 1]).is_err());
+        // Truncation needs more bytes; an unknown mode tag fails at once.
+        assert!(encoder.parse_msg(&buf[..buf.len() - 1]).unwrap().is_none());
         buf[1] = 0x07;
-        assert!(read_retarget_body(&mut &buf[1..]).is_err());
+        assert!(matches!(
+            encoder.parse_msg(&buf[..2]),
+            Err(WireError::UnknownTag(_, 0x07))
+        ));
+    }
+
+    #[test]
+    fn requests_are_filtered_by_role_and_version() {
+        let mut retarget = Vec::new();
+        write_retarget_msg(&mut retarget, &Retarget::fixed(2)).unwrap();
+        let mut v1 = Hello::ctvc_encode(1, 16, 16);
+        v1.version = 1;
+        assert!(!v1.supports_retarget());
+        assert_eq!(
+            v1.parse_msg(&retarget).unwrap_err(),
+            WireError::UnexpectedTag(MSG_RETARGET)
+        );
+        // Packets only on decode streams, frames only on encode streams.
+        let packet = [MSG_PACKET];
+        assert_eq!(
+            Hello::ctvc_encode(1, 16, 16)
+                .parse_msg(&packet)
+                .unwrap_err(),
+            WireError::UnexpectedTag(MSG_PACKET)
+        );
+        assert_eq!(
+            Hello::ctvc_decode(1, 16, 16)
+                .parse_msg(&[MSG_FRAME])
+                .unwrap_err(),
+            WireError::UnexpectedTag(MSG_FRAME)
+        );
+        assert!(matches!(
+            Hello::ctvc_decode(1, 16, 16).parse_msg(&[MSG_END]),
+            Ok(Some((WireMsg::End, 1)))
+        ));
     }
 
     #[test]
@@ -1464,10 +1532,9 @@ mod tests {
         // The exact 12-byte layout version-1 clients send.
         let mut v1 = Hello::ctvc_encode(1, 32, 32);
         v1.version = 1;
-        let mut buf = Vec::new();
-        v1.write_to(&mut buf).unwrap();
+        let buf = hello_bytes(&v1);
         assert_eq!(buf.len(), 12, "version-1 layout is 12 bytes");
-        assert_eq!(Hello::read_from(&mut &buf[..]).unwrap(), v1);
+        assert_eq!(parse_hello(&buf), v1);
         // A version-1 handshake cannot carry a rate target.
         let bad = v1.with_target_bpp(0.3, 4);
         assert!(bad.write_to(&mut Vec::new()).is_err());
@@ -1478,10 +1545,9 @@ mod tests {
         // The exact 19-byte layout version-2 clients send.
         let mut v2 = Hello::ctvc_encode(1, 32, 32).with_target_bpp(0.5, 6);
         v2.version = 2;
-        let mut buf = Vec::new();
-        v2.write_to(&mut buf).unwrap();
+        let buf = hello_bytes(&v2);
         assert_eq!(buf.len(), 19, "version-2 layout is 19 bytes");
-        assert_eq!(Hello::read_from(&mut &buf[..]).unwrap(), v2);
+        assert_eq!(parse_hello(&buf), v2);
         // A version-2 handshake cannot carry broadcast fields…
         let mut bad = v2.clone();
         bad.broadcast = Some("game".into());
@@ -1492,7 +1558,10 @@ mod tests {
         // …and a broadcast role tag is rejected in a version-2 header.
         let mut wire = buf.clone();
         wire[6] = 2; // Publish
-        assert!(Hello::read_from(&mut &wire[..]).is_err());
+        assert_eq!(
+            Hello::parse(&wire).unwrap_err(),
+            WireError::RoleNeedsVersion(Role::Publish, 2)
+        );
     }
 
     #[test]
@@ -1501,10 +1570,9 @@ mod tests {
         // plus [gop: u16][name_len: u8][name] and no client field.
         let mut v3 = Hello::ctvc_publish(1, 32, 32, "game").with_gop(8);
         v3.version = 3;
-        let mut buf = Vec::new();
-        v3.write_to(&mut buf).unwrap();
+        let buf = hello_bytes(&v3);
         assert_eq!(buf.len(), 19 + 2 + 1 + 4, "version-3 layout");
-        assert_eq!(Hello::read_from(&mut &buf[..]).unwrap(), v3);
+        assert_eq!(parse_hello(&buf), v3);
         // A version-3 handshake cannot carry a client identity.
         let bad = v3.with_client("alice");
         assert!(bad.write_to(&mut Vec::new()).is_err());
@@ -1513,16 +1581,14 @@ mod tests {
     #[test]
     fn version4_client_identity_roundtrips() {
         let h = Hello::hybrid_encode(30, 64, 48).with_client("alice");
-        let mut buf = Vec::new();
-        h.write_to(&mut buf).unwrap();
-        assert_eq!(Hello::read_from(&mut &buf[..]).unwrap(), h);
+        let buf = hello_bytes(&h);
+        assert_eq!(parse_hello(&buf), h);
         // Anonymous version-4 handshakes write a zero-length identity
         // and read back as `None`.
         let anon = Hello::hybrid_encode(30, 64, 48);
-        let mut buf = Vec::new();
-        anon.write_to(&mut buf).unwrap();
+        let buf = hello_bytes(&anon);
         assert_eq!(*buf.last().unwrap(), 0);
-        assert_eq!(Hello::read_from(&mut &buf[..]).unwrap().client, None);
+        assert_eq!(parse_hello(&buf).client, None);
         // Empty and oversized identities are rejected on the write side.
         let mut empty = anon.clone();
         empty.client = Some(String::new());
@@ -1532,14 +1598,16 @@ mod tests {
             .with_client(&long)
             .write_to(&mut Vec::new())
             .is_err());
-        // Truncation inside the identity fails cleanly.
-        let mut buf = Vec::new();
-        Hello::hybrid_encode(30, 64, 48)
-            .with_client("alice")
-            .write_to(&mut buf)
-            .unwrap();
+        // …and an oversized length claim on the read side, before the
+        // identity's bytes arrive.
+        let mut wire = buf.clone();
+        let at = wire.len() - 1;
+        wire[at] = (MAX_NAME_BYTES + 1) as u8;
+        assert!(matches!(Hello::parse(&wire), Err(WireError::OverCap(..))));
+        // Every proper prefix inside the identity needs more bytes.
+        let buf = hello_bytes(&h);
         for cut in 0..buf.len() {
-            assert!(Hello::read_from(&mut &buf[..cut]).is_err(), "cut {cut}");
+            assert!(Hello::parse(&buf[..cut]).unwrap().is_none(), "cut {cut}");
         }
     }
 
@@ -1550,31 +1618,34 @@ mod tests {
             rate: 2,
             degraded: true,
         };
-        let mut v3 = Vec::new();
-        write_ack_msg(&mut v3, 3, &ack).unwrap();
+        let v3 = ack_msg_bytes(3, &ack);
         assert_eq!(v3, [MSG_ACK, 2]);
-        let back = read_ack_body(&mut &v3[1..], 3).unwrap();
+        let Reply::Ack(back) = whole(peer(3).parse_reply(&v3), 2) else {
+            panic!("not an ack");
+        };
         assert_eq!((back.rate, back.degraded), (2, false));
         // Version-4 acks carry the flags byte.
-        let mut v4 = Vec::new();
-        write_ack_msg(&mut v4, VERSION, &ack).unwrap();
+        let v4 = ack_msg_bytes(VERSION, &ack);
         assert_eq!(v4, [MSG_ACK, 2, ACK_DEGRADED]);
-        assert_eq!(read_ack_body(&mut &v4[1..], VERSION).unwrap(), ack);
-        let mut plain = Vec::new();
-        write_ack_msg(
-            &mut plain,
+        let Reply::Ack(back) = whole(peer(VERSION).parse_reply(&v4), 3) else {
+            panic!("not an ack");
+        };
+        assert_eq!(back, ack);
+        let plain = ack_msg_bytes(
             VERSION,
             &Ack {
                 rate: 30,
                 degraded: false,
             },
-        )
-        .unwrap();
+        );
         assert_eq!(plain, [MSG_ACK, 30, 0]);
-        // Unknown flag bits are ignored, truncation is not.
-        let future = [7u8, 0xFE];
-        assert!(!read_ack_body(&mut &future[..], VERSION).unwrap().degraded);
-        assert!(read_ack_body(&mut &v4[1..2], VERSION).is_err());
+        // Unknown flag bits are ignored; a missing flags byte is awaited.
+        let future = [MSG_ACK, 7, 0xFE];
+        let Reply::Ack(back) = whole(peer(VERSION).parse_reply(&future), 3) else {
+            panic!("not an ack");
+        };
+        assert!(!back.degraded);
+        assert!(peer(VERSION).parse_reply(&v4[..2]).unwrap().is_none());
     }
 
     #[test]
@@ -1586,17 +1657,12 @@ mod tests {
             Hello::subscribe("screen-share", 640, 368).with_family(Family::Hybrid),
             Hello::ctvc_publish(1, 32, 32, "g").with_target_bpp(0.4, 4),
         ] {
-            let mut buf = Vec::new();
-            h.write_to(&mut buf).unwrap();
-            assert_eq!(Hello::read_from(&mut &buf[..]).unwrap(), h, "{h:?}");
+            assert_eq!(parse_hello(&hello_bytes(&h)), h, "{h:?}");
         }
-        // Truncation at every prefix still fails cleanly.
-        let mut buf = Vec::new();
-        Hello::ctvc_publish(1, 32, 32, "game")
-            .write_to(&mut buf)
-            .unwrap();
+        // Every proper prefix needs more bytes.
+        let buf = hello_bytes(&Hello::ctvc_publish(1, 32, 32, "game"));
         for cut in 0..buf.len() {
-            assert!(Hello::read_from(&mut &buf[..cut]).is_err(), "cut {cut}");
+            assert!(Hello::parse(&buf[..cut]).unwrap().is_none(), "cut {cut}");
         }
     }
 
@@ -1619,27 +1685,29 @@ mod tests {
         stray.broadcast = Some("game".into());
         assert!(stray.write_to(&mut Vec::new()).is_err());
         // The same rules hold on the read side (hand-built wire bytes).
-        let mut buf = Vec::new();
-        Hello::ctvc_publish(1, 32, 32, "game")
-            .write_to(&mut buf)
-            .unwrap();
-        let name_len_at = buf.len() - 5; // [len:u8]["game"]
+        let buf = hello_bytes(&Hello::ctvc_publish(1, 32, 32, "game"));
+        let name_len_at = buf.len() - 6; // [len:u8]["game"][client len:u8]
         let mut wire = buf.clone();
         wire[name_len_at] = 0;
         wire.truncate(name_len_at + 1);
-        assert!(
-            Hello::read_from(&mut &wire[..]).is_err(),
+        assert_eq!(
+            Hello::parse(&wire).unwrap_err(),
+            WireError::BroadcastName(Role::Publish),
             "publish without a name"
         );
         let mut wire = buf.clone();
         wire[6] = 0; // Encode role, name still present
-        assert!(
-            Hello::read_from(&mut &wire[..]).is_err(),
+        assert_eq!(
+            Hello::parse(&wire).unwrap_err(),
+            WireError::BroadcastName(Role::Encode),
             "encode with a stray name"
         );
         let mut wire = buf;
         wire[name_len_at + 1] = 0xFF; // not UTF-8
-        assert!(Hello::read_from(&mut &wire[..]).is_err(), "non-UTF-8 name");
+        assert!(
+            matches!(Hello::parse(&wire), Err(WireError::NotUtf8(_))),
+            "non-UTF-8 name"
+        );
     }
 
     #[test]
@@ -1655,19 +1723,26 @@ mod tests {
         let mut buf = Vec::new();
         write_join_msg(&mut buf, &join).unwrap();
         assert_eq!(buf[0], MSG_JOIN);
-        assert_eq!(read_join_body(&mut &buf[1..]).unwrap(), join);
-        // Truncation and a bad family tag fail cleanly.
-        assert!(read_join_body(&mut &buf[1..buf.len() - 1]).is_err());
+        let Reply::Join(back) = whole(peer(VERSION).parse_reply(&buf), buf.len()) else {
+            panic!("not a join");
+        };
+        assert_eq!(back, join);
+        // Truncation needs more bytes; a bad family tag fails at once.
+        assert!(peer(VERSION)
+            .parse_reply(&buf[..buf.len() - 1])
+            .unwrap()
+            .is_none());
         buf[1] = 0x07;
-        assert!(read_join_body(&mut &buf[1..]).is_err());
+        assert!(matches!(
+            peer(VERSION).parse_reply(&buf[..2]),
+            Err(WireError::UnknownTag(_, 0x07))
+        ));
     }
 
     #[test]
     fn target_bpp_hello_roundtrips() {
         let h = Hello::hybrid_encode(30, 64, 48).with_target_bpp(0.42, 6);
-        let mut buf = Vec::new();
-        h.write_to(&mut buf).unwrap();
-        let back = Hello::read_from(&mut &buf[..]).unwrap();
+        let back = parse_hello(&hello_bytes(&h));
         assert_eq!(back, h);
         let t = back.target.unwrap();
         assert_eq!(t.milli_bpp, 420);
@@ -1677,16 +1752,113 @@ mod tests {
 
     #[test]
     fn error_message_roundtrips_and_caps() {
-        let mut buf = Vec::new();
-        write_error_msg(&mut buf, "decode: packet CRC mismatch").unwrap();
+        let buf = error_msg_bytes("decode: packet CRC mismatch");
         assert_eq!(buf[0], MSG_ERROR);
-        assert_eq!(
-            read_error_body(&mut &buf[1..]).unwrap(),
-            "decode: packet CRC mismatch"
-        );
-        // A hostile length field is rejected without allocating.
-        let mut hostile = vec![0xFF, 0xFF, 0xFF, 0x7F];
+        let Reply::Error(back) = whole(peer(VERSION).parse_reply(&buf), buf.len()) else {
+            panic!("not an error");
+        };
+        assert_eq!(back, "decode: packet CRC mismatch");
+        // A hostile length field is rejected from the header alone.
+        let mut hostile = vec![MSG_ERROR, 0xFF, 0xFF, 0xFF, 0x7F];
         hostile.extend_from_slice(b"x");
-        assert!(read_error_body(&mut &hostile[..]).is_err());
+        assert!(matches!(
+            peer(VERSION).parse_reply(&hostile),
+            Err(WireError::OverCap(..))
+        ));
+    }
+
+    /// Each header alone, claiming the most its cap allows, must ask
+    /// for more bytes — not fail, and not make the buffer reserve what
+    /// the header claims.
+    #[test]
+    fn headers_alone_need_more_without_reserving() {
+        let mut stats = vec![MSG_STATS];
+        stats.extend_from_slice(&(MAX_STATS_FRAMES as u32).to_le_bytes());
+        stats.extend_from_slice(&0u64.to_le_bytes());
+        let mut error = vec![MSG_ERROR];
+        error.extend_from_slice(&(MAX_ERROR_BYTES as u32).to_le_bytes());
+        let mut packet = vec![MSG_PACKET];
+        packet.extend_from_slice(&(MAX_PAYLOAD_BYTES as u32).to_le_bytes());
+        packet.extend_from_slice(&0u32.to_le_bytes()); // frame index
+        packet.push(b'I'); // intra
+        packet.extend_from_slice(&0u32.to_le_bytes()); // payload CRC
+        assert_eq!(MAX_STATS_FRAMES, 1 << 20);
+        assert_eq!(MAX_ERROR_BYTES, 64 << 10);
+        assert_eq!(MAX_PAYLOAD_BYTES, 64 << 20);
+
+        let client = peer(VERSION);
+        let server = Hello::ctvc_decode(1, 16, 16);
+        for (name, header) in [("stats", &stats), ("error", &error), ("packet", &packet)] {
+            let mut buf = WireBuf::new();
+            buf.feed(header);
+            let parsed = buf.next(|b| client.parse_reply(b));
+            assert!(matches!(parsed, Ok(None)), "{name}: {parsed:?}");
+            assert!(
+                buf.bytes.capacity() < 1024,
+                "{name}: header reserved {} bytes",
+                buf.bytes.capacity()
+            );
+            assert_eq!(buf.held(), &header[..], "{name}: header bytes stay held");
+        }
+        // The poller's request parser waits on the packet the same way.
+        assert!(server.parse_msg(&packet).unwrap().is_none());
+
+        // One past each cap fails from the header alone.
+        stats[1..5].copy_from_slice(&(MAX_STATS_FRAMES as u32 + 1).to_le_bytes());
+        error[1..5].copy_from_slice(&(MAX_ERROR_BYTES as u32 + 1).to_le_bytes());
+        packet[1..5].copy_from_slice(&(MAX_PAYLOAD_BYTES as u32 + 1).to_le_bytes());
+        for header in [&stats[..], &error[..5], &packet[..5]] {
+            assert!(
+                matches!(client.parse_reply(header), Err(WireError::OverCap(..))),
+                "{header:?}"
+            );
+        }
+        assert!(matches!(
+            server.parse_msg(&packet[..5]),
+            Err(WireError::OverCap(..))
+        ));
+    }
+
+    #[test]
+    fn wire_buf_keeps_an_offset_and_compacts_on_feed() {
+        let encoder = Hello::ctvc_encode(1, 16, 16);
+        let mut stream = Vec::new();
+        write_retarget_msg(&mut stream, &Retarget::fixed(2)).unwrap();
+        write_retarget_msg(&mut stream, &Retarget::fixed(3)).unwrap();
+        stream.push(MSG_END);
+        let mut buf = WireBuf::new();
+        buf.feed(&stream[..15]); // one retarget and half of the next
+        let first = buf.next(|b| encoder.parse_msg(b)).unwrap();
+        assert!(matches!(first, Some(WireMsg::Retarget(r)) if r.rate == 2));
+        assert_eq!(buf.start, 10, "parsing advances the offset, no copy");
+        assert!(buf.next(|b| encoder.parse_msg(b)).unwrap().is_none());
+        buf.feed(&stream[15..]);
+        assert_eq!(buf.start, 0, "feeding compacts the parsed prefix away");
+        let second = buf.next(|b| encoder.parse_msg(b)).unwrap();
+        assert!(matches!(second, Some(WireMsg::Retarget(r)) if r.rate == 3));
+        assert!(matches!(
+            buf.next(|b| encoder.parse_msg(b)).unwrap(),
+            Some(WireMsg::End)
+        ));
+        assert!(buf.held().is_empty() && buf.bytes.is_empty());
+    }
+
+    #[test]
+    fn lost_reasons_name_the_message_cut_short() {
+        let mut buf = WireBuf::new();
+        assert_eq!(
+            buf.lost_mid_stream("peer closed the connection"),
+            "connection lost mid-stream: peer closed the connection between messages"
+        );
+        buf.feed(&[MSG_FRAME, 0, 0, 0]);
+        assert_eq!(
+            buf.lost_mid_stream("peer closed the connection"),
+            "connection lost mid-stream: peer closed the connection with 4 bytes of a 'F' \
+             message received"
+        );
+        assert_eq!(
+            buf.lost_in_handshake("deadline exceeded"),
+            "handshake: deadline exceeded with 4 handshake bytes received"
+        );
     }
 }

@@ -13,8 +13,10 @@
 //! ```
 //!
 //! * The **poller** owns every socket, all nonblocking. It accepts,
-//!   parses handshakes and messages incrementally ([`MsgDecoder`]
-//!   accepts bytes in arbitrary chunks), queues parsed jobs into the
+//!   buffers each connection's bytes in a [`WireBuf`] and parses
+//!   handshakes and messages out of it with the one parser each message
+//!   has ([`Hello::parse`], [`Hello::parse_msg`]), whatever chunks the
+//!   bytes arrive in. It queues parsed jobs into the
 //!   per-session slot, pumps broadcast rings into subscriber outboxes,
 //!   and drains outboxes whenever sockets accept bytes. Deadlines (the
 //!   handshake timeout, write stalls, post-error drains) live on a
@@ -45,8 +47,8 @@ use crate::governor::{granted_position, GovAdmit, GovWant, Governed, Governor, G
 use crate::poll::{PollShared, PollWaker, TimerKind, TimerWheel};
 use crate::proto::{
     ack_msg_bytes, write_error_msg, write_frame_msg, write_join_msg, write_packet_msg,
-    write_stats_msg, Ack, Family, Hello, HelloDecoder, JoinInfo, MsgDecoder, Retarget, Role,
-    TargetBppWire, WireMsg, MSG_PACKET,
+    write_stats_msg, Ack, Family, Hello, JoinInfo, Retarget, Role, TargetBppWire, WireBuf, WireMsg,
+    MSG_PACKET,
 };
 use crate::sync::LockExt;
 use nvc_baseline::{HybridCodec, Profile};
@@ -1307,7 +1309,7 @@ impl<'p, 'env> Poller<'p, 'env> {
                 stalled_since: None,
                 retry_backoff: RETRY_MIN,
                 retry_armed: false,
-                kind: ConnKind::Hello(HelloDecoder::new()),
+                kind: ConnKind::Hello(WireBuf::new()),
             },
         );
         self.read_set.insert(token);
@@ -1337,15 +1339,11 @@ impl<'p, 'env> Poller<'p, 'env> {
         };
         match conn.kind {
             ConnKind::Session {
-                slot,
-                decoder,
-                ended,
-                ..
+                slot, buf, ended, ..
             } => {
                 if lost && !ended {
-                    let _ = self
-                        .sched
-                        .try_enqueue(&slot, Job::Abort(decoder.interrupt(None)));
+                    let reason = buf.lost_mid_stream("peer went away");
+                    let _ = self.sched.try_enqueue(&slot, Job::Abort(reason));
                 }
                 // The capacity slot frees *here*, on the poller thread:
                 // strictly after this session's last byte went out and
@@ -1434,7 +1432,8 @@ impl<'p, 'env> Poller<'p, 'env> {
             };
             let ConnKind::Session {
                 slot,
-                decoder,
+                hello,
+                buf,
                 parked,
                 ended,
             } = &mut conn.kind
@@ -1447,16 +1446,15 @@ impl<'p, 'env> Poller<'p, 'env> {
             let job = if let Some(job) = parked.take() {
                 job
             } else {
-                match decoder.next_msg() {
+                match buf.next(|bytes| hello.parse_msg(bytes)) {
                     Ok(Some(WireMsg::Packet(packet))) => Job::Packet(packet),
                     // The frame index is client-assigned bookkeeping the
-                    // encoder re-derives; drop it exactly as the old
-                    // blocking reader did.
+                    // encoder re-derives.
                     Ok(Some(WireMsg::Frame(_, frame))) => Job::Frame(frame),
                     Ok(Some(WireMsg::Retarget(retarget))) => Job::Retarget(retarget),
                     Ok(Some(WireMsg::End)) => Job::End,
                     Ok(None) => break,
-                    Err(message) => Job::Abort(message),
+                    Err(e) => Job::Abort(e.to_string()),
                 }
             };
             let control = job.is_control();
@@ -1637,7 +1635,7 @@ impl<'p, 'env> Poller<'p, 'env> {
     /// Routes `n` fresh bytes into the connection's protocol machine.
     fn on_bytes(&mut self, token: u64, n: usize, now: Instant) {
         enum Next {
-            Establish(Hello, Vec<u8>),
+            Establish(Hello, WireBuf),
             Reject(String),
             Drive,
             Nothing,
@@ -1651,13 +1649,18 @@ impl<'p, 'env> Poller<'p, 'env> {
                 Next::Nothing
             } else {
                 match &mut conn.kind {
-                    ConnKind::Hello(decoder) => match decoder.feed(&self.scratch[..n]) {
-                        Ok(Some(hello)) => Next::Establish(hello, decoder.take_rest()),
-                        Ok(None) => Next::Nothing,
-                        Err(e) => Next::Reject(format!("handshake: {e}")),
-                    },
-                    ConnKind::Session { decoder, ended, .. } if !*ended => {
-                        decoder.feed(&self.scratch[..n]);
+                    ConnKind::Hello(buf) => {
+                        buf.feed(&self.scratch[..n]);
+                        match buf.next(Hello::parse) {
+                            // Bytes pipelined behind the hello stay in
+                            // the buffer for the session.
+                            Ok(Some(hello)) => Next::Establish(hello, std::mem::take(buf)),
+                            Ok(None) => Next::Nothing,
+                            Err(e) => Next::Reject(format!("handshake: {e}")),
+                        }
+                    }
+                    ConnKind::Session { buf, ended, .. } if !*ended => {
+                        buf.feed(&self.scratch[..n]);
                         Next::Drive
                     }
                     _ => Next::Nothing,
@@ -1665,7 +1668,7 @@ impl<'p, 'env> Poller<'p, 'env> {
             }
         };
         match next {
-            Next::Establish(hello, rest) => self.establish(token, hello, rest, now),
+            Next::Establish(hello, buf) => self.establish(token, hello, buf, now),
             Next::Reject(message) => {
                 self.reject(token, &message);
                 self.apply_write(token, now);
@@ -1678,8 +1681,9 @@ impl<'p, 'env> Poller<'p, 'env> {
         }
     }
 
-    /// The read side died (EOF or a hard error): reproduce the old
-    /// blocking reader's diagnostics from the decoder's buffered state.
+    /// The read side died (EOF or a hard error): the handshake is
+    /// rejected, or the session aborted, with a reason naming what the
+    /// buffer still held.
     fn on_read_lost(&mut self, token: u64, err: Option<io::Error>, now: Instant) {
         enum Next {
             CloseNow,
@@ -1694,12 +1698,12 @@ impl<'p, 'env> Poller<'p, 'env> {
             if conn.draining {
                 Next::CloseNow
             } else {
+                let cause =
+                    err.map_or_else(|| "peer closed the connection".into(), |e| e.to_string());
                 match &conn.kind {
-                    ConnKind::Hello(decoder) => {
-                        Next::Reject(format!("handshake: {}", decoder.interrupt(err)))
-                    }
-                    ConnKind::Session { decoder, ended, .. } if !*ended => {
-                        Next::Abort(decoder.interrupt(err))
+                    ConnKind::Hello(buf) => Next::Reject(buf.lost_in_handshake(&cause)),
+                    ConnKind::Session { buf, ended, .. } if !*ended => {
+                        Next::Abort(buf.lost_mid_stream(&cause))
                     }
                     _ => Next::Nothing,
                 }
@@ -1763,13 +1767,7 @@ impl<'p, 'env> Poller<'p, 'env> {
         match kind {
             TimerKind::Handshake => {
                 let message = match &conn.kind {
-                    ConnKind::Hello(decoder) => format!(
-                        "handshake: {}",
-                        decoder.interrupt(Some(io::Error::new(
-                            ErrorKind::TimedOut,
-                            "handshake deadline exceeded",
-                        )))
-                    ),
+                    ConnKind::Hello(buf) => buf.lost_in_handshake("deadline exceeded"),
                     _ => return false,
                 };
                 self.counters.timer_fires.inc();
@@ -1928,9 +1926,9 @@ impl<'p, 'env> Poller<'p, 'env> {
 
     /// Completes a handshake: structural validation already passed (the
     /// `Hello` parsed); this is semantic validation, admission, the ack,
-    /// and the phase change to a live session or subscriber. `rest` is
+    /// and the phase change to a live session or subscriber. `buf` holds
     /// whatever the client pipelined behind its `Hello`.
-    fn establish(&mut self, token: u64, hello: Hello, rest: Vec<u8>, now: Instant) {
+    fn establish(&mut self, token: u64, hello: Hello, buf: WireBuf, now: Instant) {
         if let Err(reason) = validate_hello(&hello) {
             self.reject(token, &format!("handshake: {reason}"));
             self.apply_write(token, now);
@@ -2159,12 +2157,10 @@ impl<'p, 'env> Poller<'p, 'env> {
                 return;
             };
             conn.gen = conn.gen.wrapping_add(1);
-            let mut decoder = MsgDecoder::new(hello.role, hello.version, hello.width, hello.height);
-            // Bytes the client pipelined behind its Hello.
-            decoder.feed(&rest);
             conn.kind = ConnKind::Session {
                 slot,
-                decoder,
+                hello,
+                buf,
                 parked: None,
                 ended: false,
             };

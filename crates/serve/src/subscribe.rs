@@ -5,14 +5,11 @@
 //! outbox and the poller drains the outbox on write-readiness — so this
 //! module is purely the client.
 
-use crate::proto::{
-    read_ack_body, read_error_body, read_join_body, read_stats_body, read_u8, JoinInfo, Role,
-    MSG_ACK, MSG_ERROR, MSG_JOIN, MSG_PACKET, MSG_STATS,
-};
+use crate::client::{handshake, unexpected, Replies};
+use crate::proto::{JoinInfo, Reply, Role};
 use crate::ServeError;
 use nvc_entropy::container::Packet;
 use nvc_video::StreamStats;
-use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -49,8 +46,7 @@ pub struct SubscribeSummary {
 ///
 /// [`next_event`]: SubscribeClient::next_event
 pub struct SubscribeClient {
-    reader: BufReader<TcpStream>,
-    version: u8,
+    replies: Replies,
     join: JoinInfo,
 }
 
@@ -118,35 +114,11 @@ impl SubscribeClient {
     ///
     /// [`connect_with`]: SubscribeClient::connect_with
     fn join_handshake(stream: &TcpStream, hello: crate::Hello) -> Result<Self, ServeError> {
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let mut reader = BufReader::new(stream.try_clone()?);
-        hello.write_to(&mut writer)?;
-        writer.flush()?;
-        match read_u8(&mut reader)? {
-            MSG_ACK => {
-                let _ack = read_ack_body(&mut reader, hello.version)?;
-            }
-            MSG_ERROR => return Err(ServeError::Remote(read_error_body(&mut reader)?)),
-            tag => {
-                return Err(ServeError::Protocol(format!(
-                    "expected handshake ack, got tag 0x{tag:02X}"
-                )))
-            }
+        let (mut replies, _writer, _ack) = handshake(stream, hello)?;
+        match replies.recv()? {
+            Reply::Join(join) => Ok(SubscribeClient { replies, join }),
+            other => Err(unexpected("join info", &other)),
         }
-        let join = match read_u8(&mut reader)? {
-            MSG_JOIN => read_join_body(&mut reader)?,
-            MSG_ERROR => return Err(ServeError::Remote(read_error_body(&mut reader)?)),
-            tag => {
-                return Err(ServeError::Protocol(format!(
-                    "expected join info, got tag 0x{tag:02X}"
-                )))
-            }
-        };
-        Ok(SubscribeClient {
-            reader,
-            version: hello.version,
-            join,
-        })
     }
 
     /// What the server said about the joined broadcast.
@@ -160,7 +132,7 @@ impl SubscribeClient {
     ///
     /// Propagates the socket error.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
+        self.replies.sock.set_read_timeout(timeout)
     }
 
     /// Blocks for the next event: a packet, or the end-of-broadcast
@@ -172,16 +144,10 @@ impl SubscribeClient {
     /// subscription with an error — eviction for lagging, or a
     /// publisher-side failure.
     pub fn next_event(&mut self) -> Result<SubscribeEvent, ServeError> {
-        match read_u8(&mut self.reader)? {
-            MSG_PACKET => Ok(SubscribeEvent::Packet(Packet::read_from(&mut self.reader)?)),
-            MSG_STATS => Ok(SubscribeEvent::End(read_stats_body(
-                &mut self.reader,
-                self.version,
-            )?)),
-            MSG_ERROR => Err(ServeError::Remote(read_error_body(&mut self.reader)?)),
-            tag => Err(ServeError::Protocol(format!(
-                "unexpected subscription tag 0x{tag:02X}"
-            ))),
+        match self.replies.recv()? {
+            Reply::Packet(packet) => Ok(SubscribeEvent::Packet(packet)),
+            Reply::Stats(stats) => Ok(SubscribeEvent::End(stats)),
+            other => Err(unexpected("a subscription packet", &other)),
         }
     }
 
@@ -190,7 +156,7 @@ impl SubscribeClient {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError`] as [`SubscribeClient::next`] does.
+    /// Returns [`ServeError`] as [`SubscribeClient::next_event`] does.
     pub fn collect(mut self) -> Result<SubscribeSummary, ServeError> {
         let mut packets = Vec::new();
         loop {

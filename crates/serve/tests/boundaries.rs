@@ -1,19 +1,18 @@
-//! Byte-boundary fuzz for the resumable protocol decoders.
+//! Byte-boundary fuzz for the protocol parsers as the poller drives them.
 //!
 //! The event-driven server reads whatever the socket has — one byte,
-//! half a message, three messages — so the incremental decoders must
+//! half a message, three messages — into a `WireBuf`, so parsing must
 //! produce *identical* outcomes (parsed values and error strings alike)
 //! no matter where the chunk boundaries fall. Every transcript here is
 //! replayed three ways: whole, one byte at a time, and split at random
 //! points by the in-tree SplitMix64; the event streams must match
-//! exactly. Truncated transcripts additionally pin the `interrupt`
-//! diagnostics — the error reported when the connection dies
+//! exactly. Truncated transcripts additionally pin the `connection lost`
+//! diagnostics — the reason reported when the connection dies
 //! mid-message — to be boundary-invariant too.
 
 use nvc_model::{CtvcCodec, CtvcConfig, RatePoint};
 use nvc_serve::proto::{
-    write_frame_msg, write_packet_msg, write_retarget_msg, Hello, HelloDecoder, MsgDecoder,
-    Retarget, WireMsg,
+    write_frame_msg, write_packet_msg, write_retarget_msg, Hello, Retarget, WireBuf, WireMsg,
 };
 use nvc_tensor::init::SplitMix64;
 use nvc_video::codec::encode_sequence;
@@ -188,43 +187,36 @@ fn digest(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Replays `bytes` through the decoders exactly as the poller would —
+/// Replays `bytes` through the parsers exactly as the poller would —
 /// hello first, then the message stream, stopping at the first terminal
-/// event — and returns the full event log, ending with the `interrupt`
-/// diagnostic for a connection that dies right after the last byte.
+/// event — and returns the full event log, ending with the
+/// `connection lost` diagnostic for a connection that dies right after
+/// the last byte.
 fn replay(bytes: &[u8], chunks: &[usize]) -> Vec<String> {
     assert_eq!(chunks.iter().sum::<usize>(), bytes.len());
     let mut events = Vec::new();
-    let mut hello_dec = HelloDecoder::new();
-    let mut msg_dec: Option<MsgDecoder> = None;
+    let mut buf = WireBuf::new();
+    let mut hello: Option<Hello> = None;
     let mut offset = 0;
     'stream: for &size in chunks {
-        let chunk = &bytes[offset..offset + size];
+        buf.feed(&bytes[offset..offset + size]);
         offset += size;
-        let chunk = match &mut msg_dec {
-            Some(_) => chunk.to_vec(),
-            None => match hello_dec.feed(chunk) {
-                Ok(Some(hello)) => {
-                    events.push(format!("hello: {hello:?}"));
-                    msg_dec = Some(MsgDecoder::new(
-                        hello.role,
-                        hello.version,
-                        hello.width,
-                        hello.height,
-                    ));
-                    hello_dec.take_rest()
-                }
-                Ok(None) => continue,
-                Err(e) => {
-                    events.push(format!("hello error: {e}"));
-                    return events;
-                }
-            },
-        };
-        let dec = msg_dec.as_mut().expect("decoder exists past the hello");
-        dec.feed(&chunk);
         loop {
-            match dec.next_msg() {
+            let Some(negotiated) = &hello else {
+                match buf.next(Hello::parse) {
+                    Ok(Some(parsed)) => {
+                        events.push(format!("hello: {parsed:?}"));
+                        hello = Some(parsed);
+                        continue;
+                    }
+                    Ok(None) => break,
+                    Err(e) => {
+                        events.push(format!("hello error: {e}"));
+                        return events;
+                    }
+                }
+            };
+            match buf.next(|b| negotiated.parse_msg(b)) {
                 Ok(Some(WireMsg::Packet(p))) => {
                     let mut re = Vec::new();
                     write_packet_msg(&mut re, &p).unwrap();
@@ -248,11 +240,12 @@ fn replay(bytes: &[u8], chunks: &[usize]) -> Vec<String> {
             }
         }
     }
-    // The connection dies here; the interrupt diagnostic must not
-    // depend on how the bytes arrived either.
-    match msg_dec {
-        Some(dec) => events.push(format!("lost: {}", dec.interrupt(None))),
-        None => events.push(format!("lost in handshake: {}", hello_dec.interrupt(None))),
+    // The connection dies here; the diagnostic must not depend on how
+    // the bytes arrived either.
+    let cause = "peer closed the connection";
+    match hello {
+        Some(_) => events.push(format!("lost: {}", buf.lost_mid_stream(cause))),
+        None => events.push(format!("lost: {}", buf.lost_in_handshake(cause))),
     }
     events
 }

@@ -7,7 +7,7 @@
 
 use nvc_baseline::{HybridCodec, Profile};
 use nvc_model::{CtvcCodec, CtvcConfig, RatePoint};
-use nvc_serve::proto::{self, Hello};
+use nvc_serve::proto::{self, Hello, Reply, WireBuf};
 use nvc_serve::{
     GovernorConfig, Retarget, ServeConfig, ServeError, Server, ServerHandle, StreamClient,
 };
@@ -40,6 +40,29 @@ fn spawn_server() -> ServerHandle {
 
 fn seq(frames: usize) -> Sequence {
     Synthesizer::new(SceneConfig::uvg_like(W, H, frames)).generate()
+}
+
+/// Every reply the server sent a raw `hello` connection, read until the
+/// server closes it (a connection left open fails on the read timeout).
+fn replies(raw: &mut TcpStream, hello: &Hello) -> Vec<Reply> {
+    let mut bytes = Vec::new();
+    raw.read_to_end(&mut bytes).unwrap();
+    let mut buf = WireBuf::new();
+    buf.feed(&bytes);
+    let mut out = Vec::new();
+    while let Some(reply) = buf.next(|b| hello.parse_reply(b)).unwrap() {
+        out.push(reply);
+    }
+    assert!(buf.held().is_empty(), "connection closed mid-message");
+    out
+}
+
+/// The `'X'` notice a raw connection's replies end with.
+fn final_error(replies: &[Reply]) -> &str {
+    match replies.last() {
+        Some(Reply::Error(message)) => message,
+        other => panic!("server must end with 'X', got {other:?}"),
+    }
 }
 
 fn connect(server: &ServerHandle, hello: Hello) -> Result<StreamClient, ServeError> {
@@ -170,21 +193,19 @@ fn bogus_hellos_are_rejected_cleanly() {
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.set_read_timeout(Some(TIMEOUT)).unwrap();
     raw.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-    let mut tag = [0u8; 1];
-    raw.read_exact(&mut tag).unwrap();
-    assert_eq!(tag[0], proto::MSG_ERROR, "server must answer with 'X'");
-    let msg = proto::read_error_body(&mut raw).unwrap();
+    // The server answers with 'X' alone, then closes the connection.
+    let any = Hello::ctvc_decode(1, W, H);
+    let rejected = replies(&mut raw, &any);
+    assert_eq!(rejected.len(), 1, "{rejected:?}");
+    let msg = final_error(&rejected);
     assert!(msg.contains("handshake"), "{msg}");
-    // ...and then close the connection.
-    assert_eq!(raw.read(&mut tag).unwrap(), 0, "connection must be closed");
 
     // Unknown codec family tag.
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.set_read_timeout(Some(TIMEOUT)).unwrap();
     raw.write_all(b"NVCS\x01\x05\x01\x01\x30\x00\x20\x00")
         .unwrap();
-    raw.read_exact(&mut tag).unwrap();
-    assert_eq!(tag[0], proto::MSG_ERROR);
+    final_error(&replies(&mut raw, &any));
 
     let report = server.shutdown();
     assert_eq!(report.sessions, 0);
@@ -201,23 +222,23 @@ fn corrupted_packet_crc_yields_clean_error_and_close() {
     // wire (the typed client would recompute it).
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let hello = Hello::ctvc_decode(1, W, H);
     let mut buf = Vec::new();
-    Hello::ctvc_decode(1, W, H).write_to(&mut buf).unwrap();
+    hello.write_to(&mut buf).unwrap();
     let mut packet = coded.packets[0].to_bytes();
     *packet.last_mut().unwrap() ^= 0xFF;
     buf.push(proto::MSG_PACKET);
     buf.extend_from_slice(&packet);
     raw.write_all(&buf).unwrap();
 
-    let mut head = [0u8; 3];
-    raw.read_exact(&mut head).unwrap(); // ack + echoed rate + flags
-    assert_eq!(head[0], proto::MSG_ACK);
-    let mut tag = [0u8; 1];
-    raw.read_exact(&mut tag).unwrap();
-    assert_eq!(tag[0], proto::MSG_ERROR, "CRC corruption must be reported");
-    let msg = proto::read_error_body(&mut raw).unwrap();
+    // The ack, then the CRC report, then a closed connection.
+    let answer = replies(&mut raw, &hello);
+    assert!(matches!(
+        answer.as_slice(),
+        [Reply::Ack(_), Reply::Error(_)]
+    ));
+    let msg = final_error(&answer);
     assert!(msg.contains("CRC"), "{msg}");
-    assert_eq!(raw.read(&mut tag).unwrap(), 0, "connection must be closed");
 
     let report = server.shutdown();
     assert_eq!(report.errors, 1);
@@ -263,17 +284,17 @@ fn wrong_message_kind_for_direction_is_rejected() {
     // A coded packet on an encode-direction stream.
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let hello = Hello::ctvc_encode(1, W, H);
     let mut buf = Vec::new();
-    Hello::ctvc_encode(1, W, H).write_to(&mut buf).unwrap();
+    hello.write_to(&mut buf).unwrap();
     buf.push(proto::MSG_PACKET);
     buf.extend_from_slice(&coded.packets[0].to_bytes());
     raw.write_all(&buf).unwrap();
-    let mut head = [0u8; 3];
-    raw.read_exact(&mut head).unwrap();
-    assert_eq!(head[0], proto::MSG_ACK);
-    let mut tag = [0u8; 1];
-    raw.read_exact(&mut tag).unwrap();
-    assert_eq!(tag[0], proto::MSG_ERROR);
+    let answer = replies(&mut raw, &hello);
+    assert!(matches!(
+        answer.as_slice(),
+        [Reply::Ack(_), Reply::Error(_)]
+    ));
     server.shutdown();
 }
 
@@ -407,27 +428,21 @@ fn version1_client_still_speaks_fixed_rate() {
     buf.push(proto::MSG_END);
     raw.write_all(&buf).unwrap();
 
-    let mut head = [0u8; 2];
-    raw.read_exact(&mut head).unwrap();
-    assert_eq!(head[0], proto::MSG_ACK, "v1 handshake must be accepted");
-    let mut reader = std::io::BufReader::new(raw);
-    for local in coded.decoded.frames() {
-        let mut tag = [0u8; 1];
-        reader.read_exact(&mut tag).unwrap();
-        assert_eq!(tag[0], proto::MSG_FRAME);
-        let (_, frame) = proto::read_frame_body(&mut reader, Some((W, H))).unwrap();
+    // The two-byte ack, the frames, the short trailer, a clean close.
+    let answer = replies(&mut raw, &hello);
+    let [Reply::Ack(_), Reply::Frame(_, f0), Reply::Frame(_, f1), Reply::Stats(stats)] =
+        answer.as_slice()
+    else {
+        panic!("v1 handshake must be accepted and answered in order: {answer:?}");
+    };
+    for (frame, local) in [f0, f1].into_iter().zip(coded.decoded.frames()) {
         assert_eq!(frame.tensor().as_slice(), local.tensor().as_slice());
     }
-    let mut tag = [0u8; 1];
-    reader.read_exact(&mut tag).unwrap();
-    assert_eq!(tag[0], proto::MSG_STATS);
-    let stats = proto::read_stats_body(&mut reader, 1).unwrap();
     assert_eq!(stats.frames, 2);
     assert!(
         stats.frame_types.is_empty() && stats.rate_per_frame.is_empty(),
         "a v1 client must get the trailer layout it expects"
     );
-    assert_eq!(reader.read(&mut tag).unwrap(), 0, "clean close after stats");
 
     let report = server.shutdown();
     assert_eq!(report.sessions, 1);
@@ -473,17 +488,17 @@ fn retarget_is_rejected_on_decode_streams_and_bogus_rates() {
     // diagnostic, not a generic unexpected-tag abort.
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let hello = Hello::ctvc_decode(1, W, H);
     let mut buf = Vec::new();
-    Hello::ctvc_decode(1, W, H).write_to(&mut buf).unwrap();
+    hello.write_to(&mut buf).unwrap();
     proto::write_retarget_msg(&mut buf, &Retarget::fixed(2)).unwrap();
     raw.write_all(&buf).unwrap();
-    let mut head = [0u8; 3];
-    raw.read_exact(&mut head).unwrap();
-    assert_eq!(head[0], proto::MSG_ACK);
-    let mut tag = [0u8; 1];
-    raw.read_exact(&mut tag).unwrap();
-    assert_eq!(tag[0], proto::MSG_ERROR);
-    let msg = proto::read_error_body(&mut raw).unwrap();
+    let answer = replies(&mut raw, &hello);
+    assert!(matches!(
+        answer.as_slice(),
+        [Reply::Ack(_), Reply::Error(_)]
+    ));
+    let msg = final_error(&answer);
     assert!(msg.contains("retarget on a decode stream"), "{msg}");
     drop(raw);
 
@@ -515,12 +530,10 @@ fn handshake_deadline_rejects_a_silent_client() {
     // hostage forever — it answers with a clean 'X' and closes.
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.set_read_timeout(Some(TIMEOUT)).unwrap();
-    let mut tag = [0u8; 1];
-    raw.read_exact(&mut tag).unwrap();
-    assert_eq!(tag[0], proto::MSG_ERROR, "silence must be answered by 'X'");
-    let msg = proto::read_error_body(&mut raw).unwrap();
+    let answer = replies(&mut raw, &Hello::ctvc_encode(1, W, H));
+    assert_eq!(answer.len(), 1, "silence must be answered by 'X' alone");
+    let msg = final_error(&answer);
     assert!(msg.contains("deadline"), "{msg}");
-    assert_eq!(raw.read(&mut tag).unwrap(), 0, "connection must be closed");
 
     // A prompt client on the same server is unaffected.
     let source = seq(2);

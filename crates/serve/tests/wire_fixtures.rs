@@ -10,7 +10,7 @@
 
 use nvc_serve::proto::{
     ack_msg_bytes, error_msg_bytes, stats_msg_bytes, write_frame_msg, write_join_msg,
-    write_retarget_msg, Ack, Family, Hello, JoinInfo, Retarget,
+    write_retarget_msg, Ack, Family, Hello, JoinInfo, Parsed, Reply, Retarget, WireMsg,
 };
 use nvc_tensor::{Shape, Tensor};
 use nvc_video::{Frame, FrameType, StreamStats};
@@ -260,56 +260,72 @@ fn error_fixture_matches_the_writer_and_parses_back() {
 // Parse helpers: each must consume the whole fixture.
 // ---------------------------------------------------------------------
 
-fn parse_hello(wire: &[u8]) -> Hello {
-    let mut cursor = wire;
-    let hello = Hello::read_from(&mut cursor).expect("hello parses");
-    assert!(cursor.is_empty(), "hello left {} bytes", cursor.len());
-    hello
+fn whole<T>(parsed: Parsed<T>, wire: &[u8]) -> T {
+    let (msg, used) = parsed.expect("fixture parses").expect("fixture is whole");
+    assert_eq!(used, wire.len(), "fixture left {} bytes", wire.len() - used);
+    msg
 }
 
-fn body(wire: &[u8], tag: u8) -> &[u8] {
-    assert_eq!(wire[0], tag);
-    &wire[1..]
+/// A peer of `version` that negotiated `width`x`height`.
+fn peer(version: u8, width: usize, height: usize) -> Hello {
+    versioned(Hello::ctvc_encode(1, width, height), version)
+}
+
+fn reply(wire: &[u8], version: u8) -> Reply {
+    whole(peer(version, 1, 1).parse_reply(wire), wire)
+}
+
+fn parse_hello(wire: &[u8]) -> Hello {
+    whole(Hello::parse(wire), wire)
 }
 
 fn parse_ack(wire: &[u8], version: u8) -> Ack {
-    let mut cursor = body(wire, b'A');
-    let ack = nvc_serve::proto::read_ack_body(&mut cursor, version).expect("ack parses");
-    assert!(cursor.is_empty());
-    ack
+    match reply(wire, version) {
+        Reply::Ack(ack) => ack,
+        other => panic!("not an ack: {other:?}"),
+    }
 }
 
 fn parse_retarget(wire: &[u8]) -> Retarget {
-    let mut cursor = body(wire, b'R');
-    let retarget = nvc_serve::proto::read_retarget_body(&mut cursor).expect("retarget parses");
-    assert!(cursor.is_empty());
-    retarget
+    match whole(peer(2, 1, 1).parse_msg(wire), wire) {
+        WireMsg::Retarget(retarget) => retarget,
+        other => panic!("not a retarget: {other:?}"),
+    }
 }
 
 fn parse_join(wire: &[u8]) -> JoinInfo {
-    let mut cursor = body(wire, b'J');
-    let join = nvc_serve::proto::read_join_body(&mut cursor).expect("join parses");
-    assert!(cursor.is_empty());
-    join
+    match reply(wire, 3) {
+        Reply::Join(join) => join,
+        other => panic!("not a join: {other:?}"),
+    }
 }
 
-fn parse_frame(wire: &[u8], geometry: (usize, usize)) -> (u32, Frame) {
-    let mut cursor = body(wire, b'F');
-    let frame = nvc_serve::proto::read_frame_body(&mut cursor, Some(geometry)).expect("frame");
-    assert!(cursor.is_empty());
-    frame
+fn parse_frame(wire: &[u8], (width, height): (usize, usize)) -> (u32, Frame) {
+    // Both directions carry frames; both parses must agree.
+    let (index, frame) = match whole(peer(1, width, height).parse_msg(wire), wire) {
+        WireMsg::Frame(index, frame) => (index, frame),
+        other => panic!("not a frame: {other:?}"),
+    };
+    match whole(peer(1, width, height).parse_reply(wire), wire) {
+        Reply::Frame(i, f) => {
+            assert_eq!(i, index);
+            assert_eq!(f.tensor().as_slice(), frame.tensor().as_slice());
+        }
+        other => panic!("not a frame: {other:?}"),
+    }
+    (index, frame)
 }
 
 fn parse_stats(wire: &[u8], version: u8) -> StreamStats {
-    let mut cursor = body(wire, b'S');
-    let stats = nvc_serve::proto::read_stats_body(&mut cursor, version).expect("stats parses");
-    assert!(cursor.is_empty());
-    stats
+    match reply(wire, version) {
+        Reply::Stats(stats) => stats,
+        other => panic!("not stats: {other:?}"),
+    }
 }
 
 fn parse_error(wire: &[u8]) -> String {
-    let mut cursor = body(wire, b'X');
-    let message = nvc_serve::proto::read_error_body(&mut cursor).expect("error parses");
-    assert!(cursor.is_empty());
-    message
+    match reply(wire, 1) {
+        Reply::Error(message) => message,
+        other => panic!("not an error: {other:?}"),
+    }
 }

@@ -11,7 +11,7 @@
 //!
 //! * [`metrics::psnr`] — peak signal-to-noise ratio (peak = 1.0),
 //! * [`metrics::ms_ssim`] — multi-scale SSIM with the standard 5-scale
-//!   weights of Wang et al. (reference [23] of the paper),
+//!   weights of Wang et al. (reference \[23\] of the paper),
 //! * [`bdrate::bd_rate`] — Bjøntegaard delta rate (the BDBR(%) of the
 //!   paper's Table I) via cubic log-rate interpolation.
 //!

@@ -30,8 +30,8 @@ use std::fmt;
 ///
 /// * the **wire byte** ([`RateParam::to_wire`]) — the codec's native
 ///   representation (`RatePoint` index, QP value) as carried in packet
-///   headers, handshakes and [`StreamStats::rate_per_frame`]
-///   (crate::StreamStats::rate_per_frame);
+///   headers, handshakes and
+///   [`StreamStats::rate_per_frame`](crate::codec::StreamStats::rate_per_frame);
 /// * the **ladder position** ([`RateParam::position`]) — a monotone
 ///   axis where position 0 is the *lowest* bitrate, which is what a
 ///   generic controller steps along (for QP the two run in opposite
