@@ -463,16 +463,20 @@ impl PublisherGuard {
 
     /// Clean end of stream: subscribers drain and get their trailer.
     pub(crate) fn finish(&mut self) {
-        self.done = true;
-        self.broadcast.end(Done::Finished);
-        self.registry.remove(&self.name, &self.broadcast);
+        self.close(Done::Finished);
     }
 
     /// Publisher-side failure: subscribers get the reason as an error.
     pub(crate) fn fail(&mut self, reason: &str) {
+        self.close(Done::Failed(reason.to_string()));
+    }
+
+    /// Frees the name *before* ending the broadcast, so a subscriber
+    /// that has seen the end can always claim the name for a new one.
+    fn close(&mut self, done: Done) {
         self.done = true;
-        self.broadcast.end(Done::Failed(reason.to_string()));
         self.registry.remove(&self.name, &self.broadcast);
+        self.broadcast.end(done);
     }
 }
 

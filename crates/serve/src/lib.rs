@@ -136,8 +136,8 @@ use std::fmt;
 pub enum ServeError {
     /// Socket-level failure.
     Io(std::io::Error),
-    /// A local protocol misuse (wrong call for the stream's role, a
-    /// reply out of order, the server closing mid-message).
+    /// A protocol misuse detected locally (a call the stream's role
+    /// does not allow, a reply the client cannot use at that point).
     Protocol(String),
     /// Malformed wire data received (bad tag, bad CRC, bad geometry,
     /// over-cap length).

@@ -1058,12 +1058,6 @@ impl<'a> Cursor<'a> {
         Ok(taken)
     }
 
-    /// [`take`](Cursor::take) without advancing.
-    fn peek(&self, n: usize) -> Result<&'a [u8], Stop> {
-        let mut probe = *self;
-        probe.take(n)
-    }
-
     fn array<const N: usize>(&mut self) -> Result<[u8; N], Stop> {
         let mut out = [0u8; N];
         out.copy_from_slice(self.take(N)?);
@@ -1254,10 +1248,13 @@ fn frame(c: &mut Cursor<'_>, negotiated: (usize, usize)) -> Result<(u32, Frame),
 /// `'P'` body: one serialized [`Packet`]. The length field leads the
 /// container header, so its cap is checked as soon as it arrives.
 fn packet(c: &mut Cursor<'_>) -> Result<Packet, Stop> {
+    // Probe the header on copies of the cursor; the whole packet is
+    // taken from its start once the header has passed.
     let mut probe = *c;
     let len = probe.u32()? as usize;
     over_cap("packet payload length", len, MAX_PAYLOAD_BYTES)?;
-    Packet::peek_header(c.peek(PACKET_HEADER_BYTES)?).map_err(WireError::Packet)?;
+    let mut probe = *c;
+    Packet::peek_header(probe.take(PACKET_HEADER_BYTES)?).map_err(WireError::Packet)?;
     let (packet, _) =
         Packet::from_bytes(c.take(PACKET_HEADER_BYTES + len)?).map_err(WireError::Packet)?;
     Ok(packet)
