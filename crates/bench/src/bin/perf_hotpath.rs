@@ -17,7 +17,7 @@
 //! perf_hotpath --check [baseline.json]
 //!                        # perf gate: re-times the kernels and exits
 //!                        # != 0 if any regresses > 15 % vs the recorded
-//!                        # baseline (default BENCH_PR2.json), after
+//!                        # baseline (default BENCH_PR3.json), after
 //!                        # calibrating out the host-speed difference
 //!                        # with the median measured/baseline ratio;
 //!                        # also gates the telemetry span overhead
@@ -323,7 +323,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .filter(|a| !a.starts_with("--"))
         .cloned()
-        .unwrap_or_else(|| format!("{root}/BENCH_PR2.json"));
+        .unwrap_or_else(|| format!("{root}/BENCH_PR3.json"));
     let max_threads = ExecCtx::auto().threads();
     let mut divergence = false;
     // Span-free timings: keep every number comparable with baselines

@@ -1,4 +1,4 @@
-use crate::sparse::{pack_co_streams, prune, CoStream, SparseKernel, Sparsity};
+use crate::sparse::{prune, PackedKernels, SparseKernel, Sparsity};
 use crate::tile_exec::{forward_tiled, KernelFamily, TileProblem};
 use crate::transforms::{winograd_f2x2_3x3, TransformPair};
 use nvc_core::ExecCtx;
@@ -34,10 +34,9 @@ pub struct FastConv2d {
     transform: TransformPair,
     /// Compressed transform-domain kernels, indexed `[co * c_in + ci]`.
     kernels: Vec<SparseKernel>,
-    /// Packed per-output-channel reduction streams, built once at
-    /// construction when any kernel is pruned (the grouped compressed
-    /// executor consumes these; `None` selects the dense path).
-    streams: Option<Vec<CoStream>>,
+    /// The kernels packed for the tiled executor, built once (boxed to
+    /// keep the operator small).
+    packed: Box<PackedKernels>,
     bias: Vec<f32>,
     c_out: usize,
     c_in: usize,
@@ -85,14 +84,11 @@ impl FastConv2d {
                 kernels.push(SparseKernel::from_dense(&masked)?);
             }
         }
-        let streams = kernels
-            .iter()
-            .any(|k| !k.is_dense())
-            .then(|| pack_co_streams(&kernels, conv.c_in()));
+        let packed = Box::new(PackedKernels::new(&kernels, conv.c_in()));
         Ok(FastConv2d {
             transform,
             kernels,
-            streams,
+            packed,
             bias: conv.bias().to_vec(),
             c_out: conv.c_out(),
             c_in: conv.c_in(),
@@ -162,12 +158,12 @@ impl FastConv2d {
 
     /// Runs the fast convolution through the two-phase tiled executor
     /// (see the `tile_exec` module docs in the source): input
-    /// transforms fan out over tiles, channel reduction + inverse
-    /// transforms fan out over output planes, and the hot loops are
-    /// allocation-free. Pruned kernels execute in compressed
-    /// `(value, index)` form — the reduction iterates only the kept
-    /// transform-domain coefficients, lane-grouped across tiles so it
-    /// still vectorizes — so sparsity ρ cuts the reduction work by ρ.
+    /// transforms fan out over groups of tiles, channel reduction +
+    /// inverse transforms fan out over output planes, every step runs
+    /// vector-wide across a tile group, and the hot loops are
+    /// allocation-free. Kernels execute in compressed `(value, index)`
+    /// form — the reduction iterates only the kept transform-domain
+    /// coefficients — so sparsity ρ cuts the reduction work by ρ.
     /// Results are bit-identical for every worker count.
     ///
     /// # Errors
@@ -185,8 +181,7 @@ impl FastConv2d {
             &TileProblem {
                 family: KernelFamily::Winograd,
                 transform: &self.transform,
-                kernels: &self.kernels,
-                streams: self.streams.as_deref(),
+                packed: &self.packed,
                 bias: &self.bias,
                 c_in: self.c_in,
                 c_out: self.c_out,
@@ -276,6 +271,16 @@ mod tests {
             rel < 0.5,
             "pruning must keep smooth kernels close, rel={rel}"
         );
+    }
+
+    #[test]
+    fn empty_input_yields_empty_output() {
+        let conv = Conv2d::randn(2, 2, 3, 1, 1, 14).unwrap();
+        let fast = FastConv2d::from_conv(&conv).unwrap();
+        let y = fast
+            .forward(&Tensor::zeros(Shape::new(1, 2, 4, 0)))
+            .unwrap();
+        assert_eq!(y.shape().dims(), (1, 2, 4, 0));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::sparse::{pack_co_streams, prune, CoStream, SparseKernel, Sparsity};
+use crate::sparse::{prune, PackedKernels, SparseKernel, Sparsity};
 use crate::tile_exec::{forward_tiled, KernelFamily, TileProblem};
 use crate::transforms::{fta_t3_6x6_4x4, TransformPair};
 use nvc_core::ExecCtx;
@@ -34,9 +34,9 @@ pub struct FastDeConv2d {
     transform: TransformPair,
     /// Compressed transform-domain kernels, indexed `[co * c_in + ci]`.
     kernels: Vec<SparseKernel>,
-    /// Packed per-output-channel reduction streams (`Some` iff any
-    /// kernel is pruned; selects the grouped compressed executor).
-    streams: Option<Vec<CoStream>>,
+    /// The kernels packed for the tiled executor, built once (boxed to
+    /// keep the operator small).
+    packed: Box<PackedKernels>,
     bias: Vec<f32>,
     c_out: usize,
     c_in: usize,
@@ -83,14 +83,11 @@ impl FastDeConv2d {
                 kernels.push(SparseKernel::from_dense(&masked)?);
             }
         }
-        let streams = kernels
-            .iter()
-            .any(|k| !k.is_dense())
-            .then(|| pack_co_streams(&kernels, deconv.c_in()));
+        let packed = Box::new(PackedKernels::new(&kernels, deconv.c_in()));
         Ok(FastDeConv2d {
             transform,
             kernels,
-            streams,
+            packed,
             bias: deconv.bias().to_vec(),
             c_out: deconv.c_out(),
             c_in: deconv.c_in(),
@@ -178,8 +175,7 @@ impl FastDeConv2d {
             &TileProblem {
                 family: KernelFamily::Fta,
                 transform: &self.transform,
-                kernels: &self.kernels,
-                streams: self.streams.as_deref(),
+                packed: &self.packed,
                 bias: &self.bias,
                 c_in: self.c_in,
                 c_out: self.c_out,

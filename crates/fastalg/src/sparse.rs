@@ -131,10 +131,8 @@ impl SparseKernel {
         m
     }
 
-    /// Whether every transform-domain position is populated. Fully dense
-    /// kernels execute through a contiguous multiply–accumulate (their
-    /// indices are exactly `0..µ²`); pruned kernels go through the
-    /// compressed `(value, index)` iteration.
+    /// Whether every transform-domain position is populated (the
+    /// indices are exactly `0..µ²`).
     pub fn is_dense(&self) -> bool {
         self.values.len() == self.mu * self.mu
     }
@@ -168,60 +166,88 @@ impl SparseKernel {
     }
 }
 
-/// One output channel's packed compressed-reduction stream for the
-/// grouped tiled executor, in coefficient-major CSR form: for every
-/// transform-domain coefficient `j`, the `(input channel, value)` pairs
-/// of the kernels that kept `j`, with `ci` ascending inside each row.
+/// One output channel's packed reduction stream for the tiled
+/// executor, in coefficient-major CSR form: for every transform-domain
+/// coefficient `j`, the `(staging slot, value)` pairs of the kernels that
+/// kept `j`, with slots ascending inside each row.
 ///
 /// Grouping per output channel (and walking coefficients outermost)
 /// keeps the summation order of every output element fixed —
-/// contributions still arrive in ascending `c_in`, one per kept
+/// contributions still arrive in ascending input channel, one per kept
 /// coefficient — while letting the executor hold coefficient `j`'s
 /// accumulator lanes in registers across the whole channel reduction.
+/// A dense kernel is simply present in all `µ²` rows.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CoStream {
     /// CSR row starts, one per coefficient plus the end (`µ² + 1`).
     pub starts: Vec<u32>,
     /// Kept transform-domain weights, coefficient-major.
     pub values: Vec<f32>,
-    /// Input-channel index per value.
-    pub ci: Vec<u16>,
+    /// Staging slot (see [`PackedKernels::live`]) per value.
+    pub slot: Vec<u16>,
 }
 
-/// Packs the kernels of a `[co][ci]`-indexed kernel table into one
-/// [`CoStream`] per output channel (see its docs for the ordering
-/// guarantee).
-pub(crate) fn pack_co_streams(kernels: &[SparseKernel], c_in: usize) -> Vec<CoStream> {
-    debug_assert!(c_in > 0 && kernels.len().is_multiple_of(c_in));
-    let mu2 = kernels.first().map_or(0, |k| k.mu * k.mu);
-    kernels
-        .chunks(c_in)
-        .map(|row| {
-            // Bucket each kernel's non-zeros by coefficient; the ci loop
-            // is outermost, so every bucket ends up ci-ascending.
-            let mut buckets: Vec<Vec<(u16, f32)>> = vec![Vec::new(); mu2];
-            for (ci, k) in row.iter().enumerate() {
-                for (&v, &i) in k.values.iter().zip(&k.indices) {
-                    buckets[i as usize].push((ci as u16, v));
+/// A `[co][ci]`-indexed kernel table packed for the tiled executor: one
+/// [`CoStream`] per output channel, over compact staging slots that
+/// cover only the input channels some kept weight reads.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PackedKernels {
+    /// One reduction stream per output channel.
+    pub streams: Vec<CoStream>,
+    /// The input channel each staging slot holds, ascending. A channel
+    /// every kernel ignores gets no slot, so it is never transformed.
+    pub live: Vec<usize>,
+    /// Whether any kernel stores fewer than `µ²` weights; such layers
+    /// report under the sparse kernel-family histograms.
+    pub sparse: bool,
+}
+
+impl PackedKernels {
+    /// Packs `kernels` (see [`CoStream`] for the ordering guarantee).
+    pub(crate) fn new(kernels: &[SparseKernel], c_in: usize) -> Self {
+        debug_assert!(c_in > 0 && kernels.len().is_multiple_of(c_in));
+        let mu2 = kernels.first().map_or(0, |k| k.mu * k.mu);
+        let live: Vec<usize> = (0..c_in)
+            .filter(|&ci| kernels.iter().skip(ci).step_by(c_in).any(|k| k.nnz() > 0))
+            .collect();
+        let mut slot_of = vec![0_u16; c_in];
+        for (slot, &ci) in live.iter().enumerate() {
+            slot_of[ci] = slot as u16;
+        }
+        let streams = kernels
+            .chunks(c_in)
+            .map(|row| {
+                // Bucket each kernel's non-zeros by coefficient; the ci
+                // loop is outermost, so every bucket ends up ascending.
+                let mut buckets: Vec<Vec<(u16, f32)>> = vec![Vec::new(); mu2];
+                for (ci, k) in row.iter().enumerate() {
+                    for (&v, &i) in k.values.iter().zip(&k.indices) {
+                        buckets[i as usize].push((slot_of[ci], v));
+                    }
                 }
-            }
-            let nnz: usize = buckets.iter().map(Vec::len).sum();
-            let mut stream = CoStream {
-                starts: Vec::with_capacity(mu2 + 1),
-                values: Vec::with_capacity(nnz),
-                ci: Vec::with_capacity(nnz),
-            };
-            stream.starts.push(0);
-            for bucket in &buckets {
-                for &(ci, v) in bucket {
-                    stream.ci.push(ci);
-                    stream.values.push(v);
+                let nnz: usize = buckets.iter().map(Vec::len).sum();
+                let mut stream = CoStream {
+                    starts: Vec::with_capacity(mu2 + 1),
+                    values: Vec::with_capacity(nnz),
+                    slot: Vec::with_capacity(nnz),
+                };
+                stream.starts.push(0);
+                for bucket in &buckets {
+                    for &(slot, v) in bucket {
+                        stream.slot.push(slot);
+                        stream.values.push(v);
+                    }
+                    stream.starts.push(stream.values.len() as u32);
                 }
-                stream.starts.push(stream.values.len() as u32);
-            }
-            stream
-        })
-        .collect()
+                stream
+            })
+            .collect();
+        PackedKernels {
+            streams,
+            live,
+            sparse: kernels.iter().any(|k| !k.is_dense()),
+        }
+    }
 }
 
 /// Outcome of pruning one kernel: the masked dense kernel plus bookkeeping.
@@ -401,18 +427,24 @@ mod tests {
     #[test]
     fn packed_streams_cover_every_kernel_in_ci_order() {
         let t = fta_t3_6x6_4x4();
+        let c_in = 3;
         let kernels: Vec<SparseKernel> = (0..6)
             .map(|seed| {
-                let w = randmat(4, 4, seed);
+                // Input channel 1 is read by no output channel.
+                if seed % c_in == 1 {
+                    return SparseKernel::from_dense(&Mat::zeros(8, 8)).unwrap();
+                }
+                let w = randmat(4, 4, seed as u64);
                 let e = t.transform_kernel(&w).unwrap();
                 let rep = prune(&t, &e, Sparsity::new(0.5).unwrap()).unwrap();
                 SparseKernel::from_dense(&rep.masked).unwrap()
             })
             .collect();
-        let c_in = 3;
-        let streams = pack_co_streams(&kernels, c_in);
-        assert_eq!(streams.len(), 2);
-        for (co, stream) in streams.iter().enumerate() {
+        let packed = PackedKernels::new(&kernels, c_in);
+        assert_eq!(packed.live, [0, 2], "the unread channel gets no slot");
+        assert!(packed.sparse);
+        assert_eq!(packed.streams.len(), 2);
+        for (co, stream) in packed.streams.iter().enumerate() {
             assert_eq!(stream.starts.len(), 65);
             assert_eq!(
                 stream.values.len(),
@@ -421,15 +453,16 @@ mod tests {
                     .map(SparseKernel::nnz)
                     .sum::<usize>()
             );
-            // Every CSR row is ci-ascending (the fixed summation order),
-            // and each (ci, coeff) entry matches the source kernel.
+            // Every CSR row is slot- and so ci-ascending (the fixed
+            // summation order), and each (ci, coeff) entry matches the
+            // source kernel.
             for j in 0..64 {
                 let (s0, s1) = (stream.starts[j] as usize, stream.starts[j + 1] as usize);
-                let row_ci = &stream.ci[s0..s1];
-                assert!(row_ci.windows(2).all(|w| w[0] < w[1]), "co={co} j={j}");
-                for (&ci, &v) in row_ci.iter().zip(&stream.values[s0..s1]) {
-                    let k = &kernels[co * c_in + ci as usize];
-                    let dense = k.to_dense();
+                let row_slot = &stream.slot[s0..s1];
+                assert!(row_slot.windows(2).all(|w| w[0] < w[1]), "co={co} j={j}");
+                for (&slot, &v) in row_slot.iter().zip(&stream.values[s0..s1]) {
+                    let ci = packed.live[slot as usize];
+                    let dense = kernels[co * c_in + ci].to_dense();
                     assert_eq!(dense.as_slice()[j], v, "co={co} ci={ci} j={j}");
                 }
             }

@@ -6,33 +6,28 @@
 //! (`Y = Bᵀ X B`), accumulate `Σ_ci E ⊙ Y` in the transform domain, and
 //! inverse-transform once per output channel (`V = Aᵀ U A`).
 //!
-//! The executor has two code paths selected by the kernels themselves:
+//! Every layer, dense or pruned, runs one path. Tiles are processed in
+//! groups of [`LANES`], and every arithmetic step — both transforms and
+//! the channel reduction — runs `LANES` wide across the group, with the
+//! geometry's `Bᵀ`/`Aᵀ` read from compile-time tables. Each *band* of
+//! groups runs two phases, mirroring the SCU array's dataflow:
 //!
-//! * **Dense** — every kernel keeps all `µ²` transform-domain weights.
-//!   Tiles stage contiguously (`[tile][c_in][µ²]`) and the channel
-//!   reduction is a contiguous `µ²`-wide multiply–accumulate per
-//!   `(co, ci)` pair, exactly as fast as a padded buffer can be.
-//! * **Grouped compressed** — at least one kernel is pruned. Tiles stage
-//!   in groups of [`LANES`] with coefficient-major lane layout
-//!   (`[group][coeff][c_in][lane]`), and each output channel reduces by
-//!   walking its packed CSR stream (`CoStream`): per coefficient, the
-//!   kept `(c_in, value)` pairs each perform one `LANES`-wide
-//!   multiply–accumulate onto a register-resident accumulator. Work per
-//!   tile is `nnz`, not `µ²`, and the fixed lane width keeps the loop
-//!   vectorized — pruning at ρ = 50 % really halves the reduction
-//!   compute instead of detouring through a zero-padded dense buffer.
-//!
-//! Both paths run two phases per *band* of tiles, mirroring the SCU
-//! array's dataflow:
-//!
-//! 1. **Input transform** — parallel over the band's tiles (or tile
-//!    groups). Transformed tiles land in a flat staging buffer borrowed
-//!    from the [`ExecCtx`]'s scratch pool.
+//! 1. **Input transform** — parallel over tile groups. For each *live*
+//!    input channel (one some kept weight reads; see `PackedKernels`),
+//!    the group's `p × p` patches are gathered lane-major
+//!    (`[p²][LANES]`) and transformed, and each coefficient's `LANES`
+//!    run lands straight in the coefficient-major staging layout
+//!    `[group][coeff][slot][lane]`, a buffer borrowed from the
+//!    [`ExecCtx`]'s scratch pool. Channels no kernel reads are never
+//!    gathered, transformed or staged.
 //! 2. **Channel reduction + inverse transform** — parallel over output
-//!    channels. Each worker owns one output plane, walks the band,
-//!    accumulates the Hadamard products over `c_in` in ascending order
-//!    into a stack accumulator, and writes the inverse-transformed tile
-//!    (plus bias) into its plane.
+//!    channels. Each worker owns one output plane and walks its packed
+//!    CSR stream (`CoStream`): per coefficient, the kept
+//!    `(slot, value)` pairs each perform one `LANES`-wide
+//!    multiply–accumulate onto a register-resident accumulator, so work
+//!    per tile is `nnz`, not `µ²` (a dense kernel is simply present in
+//!    every row). The group's `µ²` accumulators are inverse-transformed
+//!    `LANES` wide and written, plus bias, into the plane.
 //!
 //! Banding bounds the staging buffer (≈ [`BAND_FLOATS`] elements) so
 //! peak memory stays constant in the frame area. Both fan-outs are
@@ -41,17 +36,21 @@
 //! spawn/join overhead would dominate.
 //!
 //! Accumulation order is fixed per output element regardless of the
-//! worker count, band height or lane grouping: contributions arrive in
-//! ascending `c_in` order, each position exactly once, so serial,
-//! parallel, dense-applied and compressed-applied execution are all
-//! **bit-identical** (a skipped pruned position would have contributed
-//! exactly `+0.0`, which cannot change an IEEE-754 accumulator seeded
-//! with `+0.0`). The hot loops allocate nothing: patches, accumulators
-//! and inverse tiles are stack arrays; the staging buffer is recycled
-//! across calls.
+//! worker count, band height or lane position: each lane computes the
+//! same sums of the same products, in the same order, as the per-tile
+//! reference ([`TransformPair::transform_input_slice`], a dense
+//! Hadamard accumulation in ascending `c_in`,
+//! [`TransformPair::inverse_slice`]), so serial, parallel and reference
+//! execution are all **bit-identical** for finite input (a skipped
+//! pruned position would have contributed exactly `+0.0`, which cannot
+//! change an IEEE-754 accumulator seeded with `+0.0`). The hot loops
+//! allocate nothing: patches, accumulators and inverse tiles are stack
+//! arrays; the staging buffer is recycled across calls.
 
-use crate::sparse::{CoStream, SparseKernel};
-use crate::transforms::{TransformPair, MAX_MU, MAX_PATCH, MAX_TILE};
+use crate::sparse::PackedKernels;
+use crate::transforms::{
+    Lanes, Tables, TransformPair, F2X2_3X3, LANES, MAX_MU, MAX_PATCH, MAX_TILE, T3_6X6_4X4,
+};
 use nvc_core::ExecCtx;
 use nvc_tensor::{Shape, Tensor, TensorError};
 
@@ -67,9 +66,9 @@ pub(crate) enum KernelFamily {
 
 /// The per-kernel-family forward-call histogram (microseconds), global
 /// so every operator instance of a family aggregates into one metric.
-/// Dense and grouped-compressed runs report separately: their cost
-/// models differ (`µ²` vs `nnz`), so mixing them would bury exactly the
-/// comparison the sparsity work needs.
+/// Layers with and without pruned kernels report separately: their
+/// reduction costs differ (`nnz` vs `µ²`), so mixing them would bury
+/// exactly the comparison the sparsity work needs.
 fn family_histogram(family: KernelFamily, sparse: bool) -> &'static nvc_telemetry::Histogram {
     static HISTS: std::sync::OnceLock<[nvc_telemetry::Histogram; 4]> = std::sync::OnceLock::new();
     let hists = HISTS.get_or_init(|| {
@@ -85,15 +84,12 @@ fn family_histogram(family: KernelFamily, sparse: bool) -> &'static nvc_telemetr
 
 /// One fast-operator invocation, described geometrically.
 pub(crate) struct TileProblem<'a> {
-    /// The reporting family (conv/deconv).
+    /// The reporting family (conv/deconv); also selects the lane tables.
     pub family: KernelFamily,
     /// The transform pair (fixes patch/tile/µ geometry).
     pub transform: &'a TransformPair,
-    /// Transform-domain kernels, indexed `[co * c_in + ci]`.
-    pub kernels: &'a [SparseKernel],
-    /// Packed per-output-channel reduction streams; `Some` iff any
-    /// kernel is pruned, selecting the grouped compressed path.
-    pub streams: Option<&'a [CoStream]>,
+    /// The operator's kernels, packed per output channel.
+    pub packed: &'a PackedKernels,
     /// One bias per output channel.
     pub bias: &'a [f32],
     /// Input channel count.
@@ -107,60 +103,59 @@ pub(crate) struct TileProblem<'a> {
 }
 
 /// Target staging-buffer size in `f32` elements (≈ 8 MB). The band size
-/// in tiles is chosen so the staged transform-domain data stays near
-/// this budget.
+/// in tile groups is chosen so the staged transform-domain data stays
+/// near this budget.
 const BAND_FLOATS: usize = 1 << 21;
 
-/// Tiles processed together by the grouped compressed path: every stored
-/// `(value, index)` pair turns into one `LANES`-wide multiply–accumulate
-/// across the group, so the sparse reduction vectorizes as well as the
-/// dense contiguous loop while doing only `nnz / µ²` of its work. Wider
-/// groups amortize the per-weight index/bounds overhead over more tiles;
-/// 32 keeps the per-coefficient accumulator within the SIMD register
-/// file and the per-group staging within L2.
-const LANES: usize = 32;
-
-/// Copies the (clipped, zero-padded) `p × p` input patch of one channel
-/// at tile origin `(iy0, ix0)` into `patch`. Interior rows gather with
-/// one slice copy each; out-of-bounds rows/columns stay zero.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn gather_patch(
+/// Copies the (clipped, zero-padded) `P × P` input patch of one channel
+/// at tile origin `(iy0, ix0)` into lane `lane` of the lane-major block
+/// `xs`. Out-of-bounds positions are written as zero.
+#[inline(always)]
+fn gather_lane<const P: usize>(
     plane: &[f32],
     in_h: usize,
     in_w: usize,
     iy0: isize,
     ix0: isize,
-    p: usize,
-    patch: &mut [f32],
+    xs: &mut [Lanes],
+    lane: usize,
 ) {
-    let py0 = (-iy0).clamp(0, p as isize) as usize;
-    let py1 = ((in_h as isize - iy0).clamp(0, p as isize)) as usize;
-    let px0 = (-ix0).clamp(0, p as isize) as usize;
-    let px1 = ((in_w as isize - ix0).clamp(0, p as isize)) as usize;
-    patch[..p * p].fill(0.0);
-    if px0 < px1 {
-        for py in py0..py1 {
-            let iy = (iy0 + py as isize) as usize;
-            let ix = (ix0 + px0 as isize) as usize;
-            patch[py * p + px0..py * p + px1]
-                .copy_from_slice(&plane[iy * in_w + ix..][..px1 - px0]);
+    let xs = &mut xs[..P * P];
+    if iy0 >= 0 && ix0 >= 0 && iy0 as usize + P <= in_h && ix0 as usize + P <= in_w {
+        let (iy0, ix0) = (iy0 as usize, ix0 as usize);
+        for (py, row) in xs.chunks_exact_mut(P).enumerate() {
+            let src = &plane[(iy0 + py) * in_w + ix0..][..P];
+            for (x, &v) in row.iter_mut().zip(src) {
+                x[lane] = v;
+            }
+        }
+        return;
+    }
+    for (py, row) in xs.chunks_exact_mut(P).enumerate() {
+        let iy = iy0 + py as isize;
+        for (px, x) in row.iter_mut().enumerate() {
+            let ix = ix0 + px as isize;
+            let inside = (0..in_h as isize).contains(&iy) && (0..in_w as isize).contains(&ix);
+            x[lane] = if inside {
+                plane[iy as usize * in_w + ix as usize]
+            } else {
+                0.0
+            };
         }
     }
 }
 
-/// Runs the banded two-phase tiled forward pass (see module docs),
-/// dispatching to the grouped compressed path when any kernel is pruned.
+/// Runs the banded two-phase tiled forward pass (see module docs).
 pub(crate) fn forward_tiled(
     prob: &TileProblem<'_>,
     input: &Tensor,
     ctx: &ExecCtx,
 ) -> Result<Tensor, TensorError> {
-    let _span = family_histogram(prob.family, prob.streams.is_some()).time();
-    match prob.streams {
-        Some(streams) => forward_grouped(prob, streams, input, ctx),
-        None => forward_dense(prob, input, ctx),
-    }
+    let _span = family_histogram(prob.family, prob.packed.sparse).time();
+    Ok(match prob.family {
+        KernelFamily::Winograd => forward_lanes(&F2X2_3X3, prob, input, ctx),
+        KernelFamily::Fta => forward_lanes(&T3_6X6_4X4, prob, input, ctx),
+    })
 }
 
 /// Per-tile-channel input-transform cost in multiplies (`Bᵀ X B`), used
@@ -176,175 +171,74 @@ fn inverse_work(t: &TransformPair) -> u64 {
     m * mu * (mu + m)
 }
 
-/// Dense path: contiguous per-tile staging, contiguous `µ²` reduction.
-fn forward_dense(
+/// The executor body for one geometry, with its tables as constants.
+fn forward_lanes<const P: usize, const MU: usize, const M: usize>(
+    tables: &Tables<P, MU, M>,
     prob: &TileProblem<'_>,
     input: &Tensor,
     ctx: &ExecCtx,
-) -> Result<Tensor, TensorError> {
+) -> Tensor {
     let (n, _, in_h, in_w) = input.shape().dims();
     let in_data = input.as_slice();
     let t = prob.transform;
-    let (p, m, mu) = (t.patch(), t.tile(), t.mu());
-    debug_assert!(p <= MAX_PATCH && m <= MAX_TILE && mu <= MAX_MU);
-    let mu2 = mu * mu;
+    debug_assert_eq!((t.patch(), t.mu(), t.tile()), (P, MU, M));
+    debug_assert!(P <= MAX_PATCH && M <= MAX_TILE && MU <= MAX_MU);
+    let mu2 = MU * MU;
     let step = t.in_step();
     let offset = t.in_offset() as isize;
     let (oh, ow) = (prob.out_h, prob.out_w);
-    let (ty_n, tx_n) = (oh.div_ceil(m), ow.div_ceil(m));
-    let out_shape = Shape::new(n, prob.c_out, oh, ow);
-    let mut out = Tensor::zeros(out_shape);
-    let plane = oh * ow;
-
-    let tile_floats = prob.c_in * mu2;
-    let band_rows = (BAND_FLOATS / (tx_n * tile_floats).max(1)).clamp(1, ty_n);
-    let mut y_band = ctx.scratch().take(band_rows * tx_n * tile_floats);
-    for nn in 0..n {
-        let mut ty_band = 0;
-        while ty_band < ty_n {
-            let band_end = (ty_band + band_rows).min(ty_n);
-            let band_tiles = (band_end - ty_band) * tx_n;
-            // Phase 1: input transforms, one chunk per tile in the band.
-            let p1_work = (band_tiles * prob.c_in) as u64 * transform_work(t);
-            ctx.par_chunks_mut_gated(
-                &mut y_band[..band_tiles * tile_floats],
-                tile_floats,
-                p1_work,
-                |band_idx, chunk| {
-                    let ty = ty_band + band_idx / tx_n;
-                    let tx = band_idx % tx_n;
-                    let iy0 = (ty * step) as isize - offset;
-                    let ix0 = (tx * step) as isize - offset;
-                    let mut patch = [0.0_f32; MAX_PATCH * MAX_PATCH];
-                    for (ci, y_tile) in chunk.chunks_mut(mu2).enumerate() {
-                        let plane = &in_data[(nn * prob.c_in + ci) * in_h * in_w..][..in_h * in_w];
-                        gather_patch(plane, in_h, in_w, iy0, ix0, p, &mut patch);
-                        t.transform_input_slice(&patch[..p * p], y_tile);
-                    }
-                },
-            );
-            // Phase 2: channel reduction + inverse transform, one chunk
-            // per output plane (each worker writes only the band's rows).
-            let y_ref: &[f32] = &y_band;
-            let batch = &mut out.as_mut_slice()[nn * prob.c_out * plane..][..prob.c_out * plane];
-            let p2_work = (band_tiles * prob.c_out) as u64
-                * (prob.c_in as u64 * mu2 as u64 + inverse_work(t));
-            ctx.par_chunks_mut_gated(batch, plane, p2_work, |co, out_plane| {
-                let bias = prob.bias[co];
-                let kernels = &prob.kernels[co * prob.c_in..][..prob.c_in];
-                let mut u_acc = [0.0_f32; MAX_MU * MAX_MU];
-                let mut v = [0.0_f32; MAX_TILE * MAX_TILE];
-                for ty in ty_band..band_end {
-                    let vy_max = m.min(oh - ty * m);
-                    for tx in 0..tx_n {
-                        let band_idx = (ty - ty_band) * tx_n + tx;
-                        u_acc[..mu2].fill(0.0);
-                        let y_tiles = &y_ref[band_idx * tile_floats..][..tile_floats];
-                        for (ci, kernel) in kernels.iter().enumerate() {
-                            kernel.hadamard_accumulate(&y_tiles[ci * mu2..][..mu2], &mut u_acc);
-                        }
-                        t.inverse_slice(&u_acc[..mu2], &mut v[..m * m]);
-                        let vx_max = m.min(ow - tx * m);
-                        for vy in 0..vy_max {
-                            let out_row = &mut out_plane[(ty * m + vy) * ow + tx * m..][..vx_max];
-                            for (o, &vv) in out_row.iter_mut().zip(&v[vy * m..][..vx_max]) {
-                                *o = vv + bias;
-                            }
-                        }
-                    }
-                }
-            });
-            ty_band = band_end;
-        }
-    }
-    ctx.scratch().put(y_band);
-    Ok(out)
-}
-
-/// Grouped compressed path: lane-major staging in groups of [`LANES`]
-/// tiles, reduction as one flat sweep over each output channel's packed
-/// `(value, coefficient, source)` stream.
-fn forward_grouped(
-    prob: &TileProblem<'_>,
-    streams: &[CoStream],
-    input: &Tensor,
-    ctx: &ExecCtx,
-) -> Result<Tensor, TensorError> {
-    let (n, _, in_h, in_w) = input.shape().dims();
-    let in_data = input.as_slice();
-    let t = prob.transform;
-    let (p, m, mu) = (t.patch(), t.tile(), t.mu());
-    debug_assert!(p <= MAX_PATCH && m <= MAX_TILE && mu <= MAX_MU);
-    let mu2 = mu * mu;
-    let step = t.in_step();
-    let offset = t.in_offset() as isize;
-    let (oh, ow) = (prob.out_h, prob.out_w);
-    let (ty_n, tx_n) = (oh.div_ceil(m), ow.div_ceil(m));
+    let (ty_n, tx_n) = (oh.div_ceil(M), ow.div_ceil(M));
     let tiles_total = ty_n * tx_n;
     let groups_total = tiles_total.div_ceil(LANES);
-    let out_shape = Shape::new(n, prob.c_out, oh, ow);
-    let mut out = Tensor::zeros(out_shape);
+    let mut out = Tensor::zeros(Shape::new(n, prob.c_out, oh, ow));
     let plane = oh * ow;
-    let nnz_total: u64 = prob.kernels.iter().map(|k| k.nnz() as u64).sum();
+    let streams = &prob.packed.streams;
+    let live = &prob.packed.live;
+    let nnz_total: u64 = streams.iter().map(|s| s.values.len() as u64).sum();
 
-    // Compressed kernels shrink the reduction, not the staged input
-    // transforms, so the band budget still divides by the full `µ²` —
-    // but groups are padded to LANES tiles, so size in whole groups.
-    let group_floats = LANES * prob.c_in * mu2;
-    let band_groups = (BAND_FLOATS / group_floats.max(1)).clamp(1, groups_total);
+    // Only live channels are staged; groups are padded to LANES tiles,
+    // so the band is sized in whole groups.
+    let row_floats = live.len() * LANES;
+    let group_floats = mu2 * row_floats;
+    let band_groups = (BAND_FLOATS / group_floats.max(1)).clamp(1, groups_total.max(1));
     let mut y_band = ctx.scratch().take(band_groups * group_floats);
     for nn in 0..n {
         let mut g0 = 0;
         while g0 < groups_total {
             let g_end = (g0 + band_groups).min(groups_total);
             let bg = g_end - g0;
-            // Phase 1: input transforms, one chunk per tile group;
-            // coefficient-major lane layout [coeff][c_in][lane] inside
-            // the chunk, matching the CSR walk of phase 2.
-            let p1_work = (bg * LANES * prob.c_in) as u64 * transform_work(t);
-            ctx.par_chunks_mut_gated(
-                &mut y_band[..bg * group_floats],
-                group_floats,
-                p1_work,
-                |bi, chunk| {
-                    let tile0 = (g0 + bi) * LANES;
-                    let lanes = LANES.min(tiles_total - tile0);
-                    if lanes < LANES {
-                        // Zero the unused lanes (and stale recycled
-                        // data) of a partial trailing group; full groups
-                        // overwrite every slot below.
-                        chunk.fill(0.0);
-                    }
-                    let mut patch = [0.0_f32; MAX_PATCH * MAX_PATCH];
-                    // All of one channel's lane transforms, [lane][µ²] —
-                    // an L1-resident transpose source, so the lane-major
-                    // scatter below writes LANES-contiguous runs instead
-                    // of striding a cache line per coefficient.
-                    let mut y_ci = [0.0_f32; MAX_MU * MAX_MU * LANES];
-                    for ci in 0..prob.c_in {
-                        let plane = &in_data[(nn * prob.c_in + ci) * in_h * in_w..][..in_h * in_w];
-                        for lane in 0..lanes {
+            // Phase 1: input transforms, one chunk per tile group, laid
+            // out [coeff][slot][lane] to match the CSR walk of phase 2.
+            let p1_work = (bg * row_floats) as u64 * transform_work(t);
+            if group_floats > 0 {
+                ctx.par_chunks_mut_gated(
+                    &mut y_band[..bg * group_floats],
+                    group_floats,
+                    p1_work,
+                    |bi, chunk| {
+                        let tile0 = (g0 + bi) * LANES;
+                        let lanes = LANES.min(tiles_total - tile0);
+                        let origins: [(isize, isize); LANES] = std::array::from_fn(|lane| {
                             let tile = tile0 + lane;
                             let (ty, tx) = (tile / tx_n, tile % tx_n);
-                            let iy0 = (ty * step) as isize - offset;
-                            let ix0 = (tx * step) as isize - offset;
-                            gather_patch(plane, in_h, in_w, iy0, ix0, p, &mut patch);
-                            t.transform_input_slice(
-                                &patch[..p * p],
-                                &mut y_ci[lane * mu2..][..mu2],
-                            );
-                        }
-                        for j in 0..mu2 {
-                            let run = &mut chunk[(j * prob.c_in + ci) * LANES..][..lanes];
-                            for (lane, slot) in run.iter_mut().enumerate() {
-                                *slot = y_ci[lane * mu2 + j];
+                            ((ty * step) as isize - offset, (tx * step) as isize - offset)
+                        });
+                        // Lanes past the end of a partial trailing group
+                        // stay zero, so they stage zeros.
+                        let mut xs = [[0.0_f32; LANES]; MAX_PATCH * MAX_PATCH];
+                        for (slot, &ci) in live.iter().enumerate() {
+                            let plane =
+                                &in_data[(nn * prob.c_in + ci) * in_h * in_w..][..in_h * in_w];
+                            for (lane, &(iy0, ix0)) in origins[..lanes].iter().enumerate() {
+                                gather_lane::<P>(plane, in_h, in_w, iy0, ix0, &mut xs, lane);
                             }
+                            tables.input_lanes(&xs, &mut chunk[slot * LANES..], row_floats);
                         }
-                    }
-                },
-            );
-            // Phase 2: grouped compressed reduction + inverse transform,
-            // one chunk per output plane.
+                    },
+                );
+            }
+            // Phase 2: compressed reduction + inverse transform, one
+            // chunk per output plane.
             let y_ref: &[f32] = &y_band;
             let batch = &mut out.as_mut_slice()[nn * prob.c_out * plane..][..prob.c_out * plane];
             let p2_work = (bg * LANES) as u64 * nnz_total
@@ -352,9 +246,8 @@ fn forward_grouped(
             ctx.par_chunks_mut_gated(batch, plane, p2_work, |co, out_plane| {
                 let bias = prob.bias[co];
                 let stream = &streams[co];
-                let mut u_lanes = [0.0_f32; MAX_MU * MAX_MU * LANES];
-                let mut u_tile = [0.0_f32; MAX_MU * MAX_MU];
-                let mut v = [0.0_f32; MAX_TILE * MAX_TILE];
+                let mut u = [[0.0_f32; LANES]; MAX_MU * MAX_MU];
+                let mut v = [[0.0_f32; LANES]; MAX_TILE * MAX_TILE];
                 for bi in 0..bg {
                     let tile0 = (g0 + bi) * LANES;
                     let lanes = LANES.min(tiles_total - tile0);
@@ -363,32 +256,28 @@ fn forward_grouped(
                     // in registers across its whole channel reduction;
                     // each kept weight is one LANES-wide broadcast
                     // multiply–accumulate from the staged row.
-                    for j in 0..mu2 {
-                        let row = &y_group[j * prob.c_in * LANES..][..prob.c_in * LANES];
-                        let s0 = stream.starts[j] as usize;
-                        let s1 = stream.starts[j + 1] as usize;
+                    for (j, uj) in u[..mu2].iter_mut().enumerate() {
+                        let row = &y_group[j * row_floats..][..row_floats];
+                        let (s0, s1) = (stream.starts[j] as usize, stream.starts[j + 1] as usize);
                         let mut acc = [0.0_f32; LANES];
-                        for (&w, &ci) in stream.values[s0..s1].iter().zip(&stream.ci[s0..s1]) {
-                            let src = &row[ci as usize * LANES..][..LANES];
+                        for (&w, &slot) in stream.values[s0..s1].iter().zip(&stream.slot[s0..s1]) {
+                            let src = &row[slot as usize * LANES..][..LANES];
                             for (a, &yv) in acc.iter_mut().zip(src) {
                                 *a += w * yv;
                             }
                         }
-                        u_lanes[j * LANES..][..LANES].copy_from_slice(&acc);
+                        *uj = acc;
                     }
+                    tables.inverse_lanes(&u, &mut v);
                     for lane in 0..lanes {
                         let tile = tile0 + lane;
                         let (ty, tx) = (tile / tx_n, tile % tx_n);
-                        for (j, u) in u_tile[..mu2].iter_mut().enumerate() {
-                            *u = u_lanes[j * LANES + lane];
-                        }
-                        t.inverse_slice(&u_tile[..mu2], &mut v[..m * m]);
-                        let vy_max = m.min(oh - ty * m);
-                        let vx_max = m.min(ow - tx * m);
-                        for vy in 0..vy_max {
-                            let out_row = &mut out_plane[(ty * m + vy) * ow + tx * m..][..vx_max];
-                            for (o, &vv) in out_row.iter_mut().zip(&v[vy * m..][..vx_max]) {
-                                *o = vv + bias;
+                        let vy_max = M.min(oh - ty * M);
+                        let vx_max = M.min(ow - tx * M);
+                        for (vy, v_row) in v.chunks_exact(M).take(vy_max).enumerate() {
+                            let out_row = &mut out_plane[(ty * M + vy) * ow + tx * M..][..vx_max];
+                            for (o, vv) in out_row.iter_mut().zip(v_row) {
+                                *o = vv[lane] + bias;
                             }
                         }
                     }
@@ -398,5 +287,5 @@ fn forward_grouped(
         }
     }
     ctx.scratch().put(y_band);
-    Ok(out)
+    out
 }

@@ -139,60 +139,20 @@ impl TransformPair {
 
     /// Allocation-free input transform: reads a `p × p` row-major patch
     /// from `x`, writes the `µ × µ` row-major result to `out`. This is
-    /// the per-tile hot kernel; all intermediates live on the stack, and
-    /// the two supported geometries dispatch to const-sized bodies so the
-    /// inner loops fully unroll (identical arithmetic order — the
-    /// results are bit-identical to the generic body).
+    /// the per-tile reference the tiled executor's lane-wide body is
+    /// checked against: it reads the runtime `Bᵀ` matrix, skips its zero
+    /// coefficients in both stages and sums in ascending order, so every
+    /// output is the same sum of the same products as in the lane body.
     ///
     /// # Panics
     ///
     /// Panics (via `debug_assert!`/indexing) if the slices are shorter
     /// than `p²` / `µ²`.
-    #[inline]
     pub fn transform_input_slice(&self, x: &[f32], out: &mut [f32]) {
         debug_assert!(x.len() >= self.p * self.p && out.len() >= self.mu * self.mu);
-        match (self.p, self.mu) {
-            (4, 4) => self.input_fixed::<4, 4>(x, out),
-            (5, 8) => self.input_fixed::<5, 8>(x, out),
-            _ => self.input_fixed_generic(self.p, self.mu, x, out),
-        }
-    }
-
-    /// Input-transform body with const dimensions (see
-    /// [`TransformPair::transform_input_slice`]).
-    #[inline]
-    fn input_fixed<const P: usize, const MU: usize>(&self, x: &[f32], out: &mut [f32]) {
-        let bt = self.bt.as_slice(); // µ × p
-        let x = &x[..P * P];
-        // tmp = Bᵀ · X  (µ × p); Bᵀ rows are sparse (±1, ±0.5).
-        let mut tmp = [0.0_f32; MAX_MU * MAX_PATCH];
-        for i in 0..MU {
-            for k in 0..P {
-                let a = bt[i * P + k];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..P {
-                    tmp[i * P + j] += a * x[k * P + j];
-                }
-            }
-        }
-        // out = tmp · B = tmp · (Bᵀ)ᵀ: out[i][j] = Σ_k tmp[i][k]·Bᵀ[j][k].
-        for i in 0..MU {
-            for j in 0..MU {
-                let mut acc = 0.0;
-                for k in 0..P {
-                    acc += tmp[i * P + k] * bt[j * P + k];
-                }
-                out[i * MU + j] = acc;
-            }
-        }
-    }
-
-    /// Fallback input-transform body with runtime dimensions — the same
-    /// loops as [`TransformPair::input_fixed`], in the same order.
-    fn input_fixed_generic(&self, p: usize, mu: usize, x: &[f32], out: &mut [f32]) {
+        let (p, mu) = (self.p, self.mu);
         let bt = self.bt.as_slice();
+        // tmp = Bᵀ · X  (µ × p).
         let mut tmp = [0.0_f32; MAX_MU * MAX_PATCH];
         for i in 0..mu {
             let row = &mut tmp[i * p..][..p];
@@ -205,13 +165,15 @@ impl TransformPair {
                 }
             }
         }
+        // out = tmp · B = tmp · (Bᵀ)ᵀ: out[i][j] = Σ_k tmp[i][k]·Bᵀ[j][k].
         for i in 0..mu {
             let trow = &tmp[i * p..][..p];
             for j in 0..mu {
-                let brow = &bt[j * p..][..p];
                 let mut acc = 0.0;
-                for (&t, &b) in trow.iter().zip(brow) {
-                    acc += t * b;
+                for (&t, &b) in trow.iter().zip(&bt[j * p..][..p]) {
+                    if b != 0.0 {
+                        acc += t * b;
+                    }
                 }
                 out[i * mu + j] = acc;
             }
@@ -238,63 +200,23 @@ impl TransformPair {
     }
 
     /// Allocation-free inverse transform: reads a `µ × µ` row-major tile
-    /// from `u`, writes the `m × m` row-major result to `out`. The two
-    /// supported geometries dispatch to const-sized bodies (identical
-    /// arithmetic order, bit-identical results — see
-    /// [`TransformPair::transform_input_slice`]).
+    /// from `u`, writes the `m × m` row-major result to `out` — the
+    /// per-tile reference for the executor's lane-wide inverse, with the
+    /// same zero skipping and summation order as
+    /// [`TransformPair::transform_input_slice`].
     ///
     /// # Panics
     ///
     /// Panics (via `debug_assert!`/indexing) if the slices are shorter
     /// than `µ²` / `m²`.
-    #[inline]
     pub fn inverse_slice(&self, u: &[f32], out: &mut [f32]) {
         debug_assert!(u.len() >= self.mu * self.mu && out.len() >= self.m * self.m);
-        match (self.m, self.mu) {
-            (2, 4) => self.inverse_fixed::<2, 4>(u, out),
-            (6, 8) => self.inverse_fixed::<6, 8>(u, out),
-            _ => self.inverse_fixed_generic(self.m, self.mu, u, out),
-        }
-    }
-
-    /// Inverse-transform body with const dimensions.
-    #[inline]
-    fn inverse_fixed<const M: usize, const MU: usize>(&self, u: &[f32], out: &mut [f32]) {
-        let at = self.at.as_slice(); // m × µ
-        let u = &u[..MU * MU];
-        // tmp = Aᵀ · U  (m × µ); Aᵀ rows are sparse (0, ±1).
-        let mut tmp = [0.0_f32; MAX_TILE * MAX_MU];
-        for i in 0..M {
-            for k in 0..MU {
-                let a = at[i * MU + k];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..MU {
-                    tmp[i * MU + j] += a * u[k * MU + j];
-                }
-            }
-        }
-        // out = tmp · A = tmp · (Aᵀ)ᵀ: out[i][j] = Σ_k tmp[i][k]·Aᵀ[j][k].
-        for i in 0..M {
-            for j in 0..M {
-                let mut acc = 0.0;
-                for k in 0..MU {
-                    acc += tmp[i * MU + k] * at[j * MU + k];
-                }
-                out[i * M + j] = acc;
-            }
-        }
-    }
-
-    /// Fallback inverse-transform body with runtime dimensions — the
-    /// same loops as [`TransformPair::inverse_fixed`], in the same order.
-    fn inverse_fixed_generic(&self, m: usize, mu: usize, u: &[f32], out: &mut [f32]) {
+        let (m, mu) = (self.m, self.mu);
         let at = self.at.as_slice();
+        // tmp = Aᵀ · U  (m × µ).
         let mut tmp = [0.0_f32; MAX_TILE * MAX_MU];
         for i in 0..m {
             let row = &mut tmp[i * mu..][..mu];
-            row.fill(0.0);
             for (k, &a) in at[i * mu..][..mu].iter().enumerate() {
                 if a == 0.0 {
                     continue;
@@ -304,13 +226,15 @@ impl TransformPair {
                 }
             }
         }
+        // out = tmp · A = tmp · (Aᵀ)ᵀ: out[i][j] = Σ_k tmp[i][k]·Aᵀ[j][k].
         for i in 0..m {
             let trow = &tmp[i * mu..][..mu];
             for j in 0..m {
-                let arow = &at[j * mu..][..mu];
                 let mut acc = 0.0;
-                for (&t, &a) in trow.iter().zip(arow) {
-                    acc += t * a;
+                for (&t, &a) in trow.iter().zip(&at[j * mu..][..mu]) {
+                    if a != 0.0 {
+                        acc += t * a;
+                    }
                 }
                 out[i * m + j] = acc;
             }
@@ -360,19 +284,143 @@ impl TransformPair {
     }
 }
 
+/// Tiles the executor transforms together: every arithmetic step of the
+/// input transform, the channel reduction and the inverse transform runs
+/// `LANES` wide across one group of tiles, so each loop body is one
+/// fixed-width vector operation. 32 keeps a coefficient's accumulator
+/// within the SIMD register file and a group's staging within L2.
+pub(crate) const LANES: usize = 32;
+
+/// One value per tile of a lane group.
+pub(crate) type Lanes = [f32; LANES];
+
+/// The `Bᵀ` (µ×p) and `Aᵀ` (m×µ) matrices of one supported geometry as
+/// compile-time tables: the single definition both the
+/// [`TransformPair`] matrices and the executor's lane bodies are built
+/// from.
+pub(crate) struct Tables<const P: usize, const MU: usize, const M: usize> {
+    bt: [[f32; P]; MU],
+    at: [[f32; MU]; M],
+}
+
+/// `F(2×2, 3×3)`: `p = 4`, `µ = 4`, `m = 2`.
+pub(crate) const F2X2_3X3: Tables<4, 4, 2> = Tables {
+    bt: [
+        [1.0, 0.0, -1.0, 0.0],
+        [0.0, 1.0, 1.0, 0.0],
+        [0.0, -1.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, -1.0],
+    ],
+    at: [[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, -1.0]],
+};
+
+/// `T3(6×6, 4×4)`: `p = 5`, `µ = 8`, `m = 6`.
+pub(crate) const T3_6X6_4X4: Tables<5, 8, 6> = Tables {
+    bt: [
+        [1.0, 0.0, -1.0, 0.0, 0.0],
+        [0.0, 1.0, 1.0, 0.0, 0.0],
+        [0.0, -1.0, 1.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 1.0, 0.0],
+        [0.0, 1.0, 0.0, -1.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0, 0.0],
+        [0.0, 0.0, -1.0, 1.0, 0.0],
+        [0.0, 0.0, -1.0, 0.0, 1.0],
+    ],
+    at: [
+        [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0],
+        [0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0],
+        [0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+    ],
+};
+
+impl<const P: usize, const MU: usize, const M: usize> Tables<P, MU, M> {
+    fn bt_mat(&self) -> Mat {
+        Mat::from_vec(MU, P, self.bt.concat()).expect("static matrix")
+    }
+
+    fn at_mat(&self) -> Mat {
+        Mat::from_vec(M, MU, self.at.concat()).expect("static matrix")
+    }
+
+    /// Lane-wide input transform `Y = Bᵀ X B` of a group's patches:
+    /// `x` is lane-major (`[p²][LANES]`), and coefficient `j`'s `LANES`
+    /// run is written to `out[j * stride..][..LANES]`. Within each lane
+    /// this is [`TransformPair::transform_input_slice`] exactly — the
+    /// same products summed in the same order (see [`axpy`]).
+    #[inline(always)]
+    pub(crate) fn input_lanes(&self, x: &[Lanes], out: &mut [f32], stride: usize) {
+        let x = &x[..P * P];
+        for i in 0..MU {
+            // Row i of Bᵀ · X.
+            let mut t = [[0.0_f32; LANES]; P];
+            for (k, &a) in self.bt[i].iter().enumerate() {
+                for (tj, xj) in t.iter_mut().zip(&x[k * P..][..P]) {
+                    axpy(tj, a, xj);
+                }
+            }
+            for (j, bj) in self.bt.iter().enumerate() {
+                let mut acc = [0.0_f32; LANES];
+                for (tk, &b) in t.iter().zip(bj) {
+                    axpy(&mut acc, b, tk);
+                }
+                out[(i * MU + j) * stride..][..LANES].copy_from_slice(&acc);
+            }
+        }
+    }
+
+    /// Lane-wide inverse transform `V = Aᵀ U A` of a group's reduced
+    /// tiles: `u` is `[µ²][LANES]`, `v` receives `[m²][LANES]`. Within
+    /// each lane this is [`TransformPair::inverse_slice`] exactly.
+    #[inline(always)]
+    pub(crate) fn inverse_lanes(&self, u: &[Lanes], v: &mut [Lanes]) {
+        let u = &u[..MU * MU];
+        let v = &mut v[..M * M];
+        for i in 0..M {
+            // Row i of Aᵀ · U.
+            let mut t = [[0.0_f32; LANES]; MU];
+            for (k, &a) in self.at[i].iter().enumerate() {
+                for (tj, uj) in t.iter_mut().zip(&u[k * MU..][..MU]) {
+                    axpy(tj, a, uj);
+                }
+            }
+            for (j, aj) in self.at.iter().enumerate() {
+                let mut acc = [0.0_f32; LANES];
+                for (tk, &a) in t.iter().zip(aj) {
+                    axpy(&mut acc, a, tk);
+                }
+                v[i * M + j] = acc;
+            }
+        }
+    }
+}
+
+/// `acc += a · x` across the lanes, for one transform coefficient `a`: a
+/// zero is skipped and ±1 adds or subtracts without a multiply. Both are
+/// exact rewrites (`1·x = x` and `t + (−1)·x = t − x` in IEEE-754), so
+/// every lane matches the scalar reference bit for bit.
+#[inline(always)]
+fn axpy(acc: &mut Lanes, a: f32, x: &Lanes) {
+    if a == 0.0 {
+        return;
+    }
+    if a == 1.0 {
+        acc.iter_mut().zip(x).for_each(|(t, &v)| *t += v);
+    } else if a == -1.0 {
+        acc.iter_mut().zip(x).for_each(|(t, &v)| *t -= v);
+    } else {
+        acc.iter_mut().zip(x).for_each(|(t, &v)| *t += a * v);
+    }
+}
+
 /// Winograd fast convolution `F(2×2, 3×3)` (Eqs. (2)–(3) of the paper):
 /// 4×4 input patch, 3×3 kernel, 2×2 output tile, 16 multiplications.
 ///
 /// Tiles step 2 in the input; the canonical same-padding convolution pads
 /// the input by 1 on every border, expressed here as `in_offset = 1`.
 pub fn winograd_f2x2_3x3() -> TransformPair {
-    let bt = Mat::from_rows(&[
-        &[1.0, 0.0, -1.0, 0.0],
-        &[0.0, 1.0, 1.0, 0.0],
-        &[0.0, -1.0, 1.0, 0.0],
-        &[0.0, 1.0, 0.0, -1.0],
-    ])
-    .expect("static matrix");
     let g = Mat::from_rows(&[
         &[1.0, 0.0, 0.0],
         &[0.5, 0.5, 0.5],
@@ -380,13 +428,11 @@ pub fn winograd_f2x2_3x3() -> TransformPair {
         &[0.0, 0.0, 1.0],
     ])
     .expect("static matrix");
-    let at =
-        Mat::from_rows(&[&[1.0, 1.0, 1.0, 0.0], &[0.0, 1.0, -1.0, -1.0]]).expect("static matrix");
     TransformPair {
         name: "F(2x2,3x3)",
-        bt,
+        bt: F2X2_3X3.bt_mat(),
         g,
-        at,
+        at: F2X2_3X3.at_mat(),
         p: 4,
         m: 2,
         k: 3,
@@ -406,17 +452,6 @@ pub fn winograd_f2x2_3x3() -> TransformPair {
 /// `padding = 1` convention the input is pre-padded by one zero row/column
 /// (`in_offset = 1`).
 pub fn fta_t3_6x6_4x4() -> TransformPair {
-    let bt = Mat::from_rows(&[
-        &[1.0, 0.0, -1.0, 0.0, 0.0],
-        &[0.0, 1.0, 1.0, 0.0, 0.0],
-        &[0.0, -1.0, 1.0, 0.0, 0.0],
-        &[0.0, -1.0, 0.0, 1.0, 0.0],
-        &[0.0, 1.0, 0.0, -1.0, 0.0],
-        &[0.0, 0.0, 1.0, 1.0, 0.0],
-        &[0.0, 0.0, -1.0, 1.0, 0.0],
-        &[0.0, 0.0, -1.0, 0.0, 1.0],
-    ])
-    .expect("static matrix");
     let g = Mat::from_rows(&[
         &[0.0, 0.0, 0.0, 1.0],
         &[0.0, 0.5, 0.0, 0.5],
@@ -428,20 +463,11 @@ pub fn fta_t3_6x6_4x4() -> TransformPair {
         &[1.0, 0.0, 0.0, 0.0],
     ])
     .expect("static matrix");
-    let at = Mat::from_rows(&[
-        &[1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        &[0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0],
-        &[0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        &[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0],
-        &[0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-        &[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
-    ])
-    .expect("static matrix");
     TransformPair {
         name: "T3(6x6,4x4)",
-        bt,
+        bt: T3_6X6_4X4.bt_mat(),
         g,
-        at,
+        at: T3_6X6_4X4.at_mat(),
         p: 5,
         m: 6,
         k: 4,
@@ -608,6 +634,140 @@ mod tests {
                 assert!((q.at(i, j) - expect).abs() < 1e-5);
             }
         }
+    }
+
+    /// Inputs that expose a dropped, added or reordered term: signed
+    /// zeros, subnormals, exact halves, magnitudes that absorb ordinary
+    /// values, and ordinary values.
+    const HOSTILE: [f32; 12] = [
+        0.0, -0.0, 1e-40, -3e-39, 0.5, -1.5, 2.5, 1e30, -1e30, 0.7, -3.3, 1.0e-3,
+    ];
+
+    /// `n` lane rows whose first `lanes` lanes draw from [`HOSTILE`] and
+    /// from a ramp of ordinary values; the remaining lanes are zero, as
+    /// in a partial trailing tile group.
+    fn hostile_lanes(n: usize, lanes: usize, seed: u64) -> Vec<Lanes> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                std::array::from_fn(|lane| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let r = (state >> 33) as usize;
+                    match (lane < lanes, r % 16) {
+                        (false, _) => 0.0,
+                        (true, k) if k < HOSTILE.len() => HOSTILE[k],
+                        (true, _) => (r % 1000) as f32 * 0.013 - 6.5,
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// Small integers: every sum in the pipeline is exact, so its result
+    /// must equal the direct operator exactly, whatever the order.
+    fn int_lanes(n: usize, seed: usize) -> Vec<Lanes> {
+        (0..n)
+            .map(|i| std::array::from_fn(|lane| ((i * 7 + lane * 3 + seed) % 9) as f32 - 4.0))
+            .collect()
+    }
+
+    fn check_lane_bodies<const P: usize, const MU: usize, const M: usize>(
+        tables: &Tables<P, MU, M>,
+        t: &TransformPair,
+        direct: impl Fn(&Mat, &[f32], usize, usize) -> f32,
+    ) {
+        // Lane bodies against the per-tile scalar reference, bit for bit.
+        for lanes in 1..=LANES {
+            let x = hostile_lanes(P * P, lanes, lanes as u64);
+            let mut y = vec![0.0_f32; MU * MU * LANES];
+            tables.input_lanes(&x, &mut y, LANES);
+            let u = hostile_lanes(MU * MU, lanes, 1000 + lanes as u64);
+            let mut v = vec![[0.0_f32; LANES]; M * M];
+            tables.inverse_lanes(&u, &mut v);
+            for lane in 0..LANES {
+                let patch: Vec<f32> = x.iter().map(|r| r[lane]).collect();
+                let mut y_ref = vec![0.0_f32; MU * MU];
+                t.transform_input_slice(&patch, &mut y_ref);
+                for (j, r) in y_ref.iter().enumerate() {
+                    let got = y[j * LANES + lane];
+                    assert_eq!(
+                        got.to_bits(),
+                        r.to_bits(),
+                        "{} input lanes={lanes} lane={lane} coeff={j}: {got} vs {r}",
+                        t.name()
+                    );
+                }
+                let tile: Vec<f32> = u.iter().map(|r| r[lane]).collect();
+                let mut v_ref = vec![0.0_f32; M * M];
+                t.inverse_slice(&tile, &mut v_ref);
+                for (j, r) in v_ref.iter().enumerate() {
+                    let got = v[j][lane];
+                    assert_eq!(
+                        got.to_bits(),
+                        r.to_bits(),
+                        "{} inverse lanes={lanes} lane={lane} out={j}: {got} vs {r}",
+                        t.name()
+                    );
+                }
+            }
+        }
+        // The whole lane pipeline on exact integer tiles equals the direct
+        // operator, which pins the tables themselves.
+        let k = t.kernel();
+        let w = Mat::from_vec(k, k, (0..k * k).map(|i| (i % 5) as f32 - 2.0).collect()).unwrap();
+        let e = t.transform_kernel(&w).unwrap();
+        let x = int_lanes(P * P, 5);
+        let mut y = vec![0.0_f32; MU * MU * LANES];
+        tables.input_lanes(&x, &mut y, LANES);
+        let u: Vec<Lanes> = (0..MU * MU)
+            .map(|j| std::array::from_fn(|lane| e.as_slice()[j] * y[j * LANES + lane]))
+            .collect();
+        let mut v = vec![[0.0_f32; LANES]; M * M];
+        tables.inverse_lanes(&u, &mut v);
+        for lane in 0..LANES {
+            let patch: Vec<f32> = x.iter().map(|r| r[lane]).collect();
+            for oy in 0..M {
+                for ox in 0..M {
+                    let expect = direct(&w, &patch, oy, ox);
+                    assert_eq!(v[oy * M + ox][lane], expect, "{} ({oy},{ox})", t.name());
+                }
+            }
+        }
+    }
+
+    /// The executor's lane-wide transform bodies compute, in every lane
+    /// and for every lane count, exactly what the scalar per-tile
+    /// reference computes — including on signed zeros, subnormals and
+    /// values whose sums depend on order — and the lane pipeline
+    /// reproduces direct correlation / transposed convolution exactly.
+    #[test]
+    fn lane_bodies_match_scalar_reference_bit_for_bit() {
+        check_lane_bodies(&F2X2_3X3, &winograd_f2x2_3x3(), |w, x, oy, ox| {
+            let mut acc = 0.0;
+            for ky in 0..3 {
+                for kx in 0..3 {
+                    acc += x[(oy + ky) * 4 + ox + kx] * w.at(ky, kx);
+                }
+            }
+            acc
+        });
+        // Transposed convolution, stride 2: output `o` of the tile is
+        // full-output position `o + 3`, fed by input `i` through tap
+        // `o + 3 − 2i`.
+        check_lane_bodies(&T3_6X6_4X4, &fta_t3_6x6_4x4(), |w, x, oy, ox| {
+            let mut acc = 0.0;
+            for iy in 0..5 {
+                for ix in 0..5 {
+                    let (ky, kx) = (oy as isize + 3 - 2 * iy, ox as isize + 3 - 2 * ix);
+                    if (0..4).contains(&ky) && (0..4).contains(&kx) {
+                        acc += x[iy as usize * 5 + ix as usize] * w.at(ky as usize, kx as usize);
+                    }
+                }
+            }
+            acc
+        });
     }
 
     #[test]

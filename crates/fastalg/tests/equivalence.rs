@@ -281,6 +281,57 @@ fn sparse_apply_matches_dense_apply_bit_for_bit() {
     }
 }
 
+/// Dense-apply reference for a fast deconv: every masked kernel
+/// reconstructed to its padded µ² buffer and multiplied in full, c_in
+/// ascending, through the per-tile scalar transforms.
+fn dense_apply_deconv(fast: &FastDeConv2d, x: &Tensor) -> Tensor {
+    let t = fast.transform();
+    let (p, m, mu) = (t.patch(), t.tile(), t.mu());
+    let mu2 = mu * mu;
+    let (_, c_in, h, w) = x.shape().dims();
+    let (ty_n, tx_n) = fast.tile_count(h, w);
+    let (oh, ow) = (2 * h, 2 * w);
+    let step = t.in_step();
+    let offset = t.in_offset() as isize;
+    let mut reference = Tensor::zeros(Shape::new(1, fast.c_out(), oh, ow));
+    let mut patch = vec![0.0_f32; p * p];
+    let mut y_tiles = vec![0.0_f32; c_in * mu2];
+    let mut u_acc = vec![0.0_f32; mu2];
+    let mut v = vec![0.0_f32; m * m];
+    for ty in 0..ty_n {
+        for tx in 0..tx_n {
+            let iy0 = (ty * step) as isize - offset;
+            let ix0 = (tx * step) as isize - offset;
+            for ci in 0..c_in {
+                for py in 0..p {
+                    for px in 0..p {
+                        patch[py * p + px] =
+                            x.at_padded(0, ci, iy0 + py as isize, ix0 + px as isize);
+                    }
+                }
+                t.transform_input_slice(&patch, &mut y_tiles[ci * mu2..ci * mu2 + mu2]);
+            }
+            for co in 0..fast.c_out() {
+                u_acc.iter_mut().for_each(|a| *a = 0.0);
+                for ci in 0..c_in {
+                    let e = fast.kernel(co, ci).to_dense();
+                    let y = &y_tiles[ci * mu2..][..mu2];
+                    for ((a, &ev), &yv) in u_acc.iter_mut().zip(e.as_slice()).zip(y) {
+                        *a += ev * yv;
+                    }
+                }
+                t.inverse_slice(&u_acc, &mut v);
+                for vy in 0..m.min(oh - ty * m) {
+                    for vx in 0..m.min(ow - tx * m) {
+                        *reference.at_mut(0, co, ty * m + vy, tx * m + vx) = v[vy * m + vx];
+                    }
+                }
+            }
+        }
+    }
+    reference
+}
+
 /// The deconv executor's compressed path must also match dense
 /// application bit for bit at every pruning level. (The executor is
 /// shared with conv, but the T3 geometry exercises µ = 8 and the
@@ -294,55 +345,29 @@ fn sparse_deconv_matches_sparsely_reconstructed_dense_kernels() {
         let deconv = DeConv2d::randn(3, 2, 4, 2, 1, seed).unwrap();
         let fast = FastDeConv2d::from_deconv_pruned(&deconv, Sparsity::new(rho).unwrap()).unwrap();
         let got = fast.forward(&x).unwrap();
-        // Dense-apply reference: every masked kernel reconstructed to
-        // its padded µ² buffer and multiplied in full, c_in ascending.
-        let t = fast.transform();
-        let (p, m, mu) = (t.patch(), t.tile(), t.mu());
-        let mu2 = mu * mu;
-        let (ty_n, tx_n) = fast.tile_count(7, 5);
-        let (oh, ow) = (14, 10);
-        let step = t.in_step();
-        let offset = t.in_offset() as isize;
-        let mut reference = Tensor::zeros(Shape::new(1, 3, oh, ow));
-        let mut patch = vec![0.0_f32; p * p];
-        let mut y_tiles = vec![0.0_f32; 2 * mu2];
-        let mut u_acc = vec![0.0_f32; mu2];
-        let mut v = vec![0.0_f32; m * m];
-        for ty in 0..ty_n {
-            for tx in 0..tx_n {
-                let iy0 = (ty * step) as isize - offset;
-                let ix0 = (tx * step) as isize - offset;
-                for ci in 0..2 {
-                    for py in 0..p {
-                        for px in 0..p {
-                            patch[py * p + px] =
-                                x.at_padded(0, ci, iy0 + py as isize, ix0 + px as isize);
-                        }
-                    }
-                    t.transform_input_slice(&patch, &mut y_tiles[ci * mu2..ci * mu2 + mu2]);
-                }
-                for co in 0..3 {
-                    u_acc.iter_mut().for_each(|a| *a = 0.0);
-                    for ci in 0..2 {
-                        let e = fast.kernel(co, ci).to_dense();
-                        let y = &y_tiles[ci * mu2..][..mu2];
-                        for ((a, &ev), &yv) in u_acc.iter_mut().zip(e.as_slice()).zip(y) {
-                            *a += ev * yv;
-                        }
-                    }
-                    t.inverse_slice(&u_acc, &mut v);
-                    for vy in 0..m.min(oh - ty * m) {
-                        for vx in 0..m.min(ow - tx * m) {
-                            *reference.at_mut(0, co, ty * m + vy, tx * m + vx) = v[vy * m + vx];
-                        }
-                    }
-                }
-            }
-        }
+        let reference = dense_apply_deconv(&fast, &x);
         assert_eq!(
             got.as_slice(),
             reference.as_slice(),
             "rho={rho}: deconv compressed execution diverged from dense application"
+        );
+    }
+    // A 20×21 input has 7×7 = 49 output tiles: one full 32-tile lane
+    // group and one partial trailing group. Input channel 1 is read by
+    // no output channel, so the executor never stages it; at ρ = 0 every
+    // kernel is dense and runs through the same path.
+    let x = rand_tensor(&mut rng, 3, 20, 21);
+    let mut deconv = DeConv2d::randn(4, 3, 4, 2, 1, rng.next_u64() % 500).unwrap();
+    deconv.weight_mut()[4 * 16..2 * 4 * 16].fill(0.0);
+    for rho in [0.0, 0.5] {
+        let fast = FastDeConv2d::from_deconv_pruned(&deconv, Sparsity::new(rho).unwrap()).unwrap();
+        assert_eq!(fast.tile_count(20, 21), (7, 7));
+        let got = fast.forward(&x).unwrap();
+        let reference = dense_apply_deconv(&fast, &x);
+        assert_eq!(
+            got.as_slice(),
+            reference.as_slice(),
+            "rho={rho}: 49-tile deconv with an unread channel diverged from dense application"
         );
     }
 }
